@@ -16,9 +16,11 @@ produce byte-identical bytes.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
+import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +35,7 @@ from .geometry import (
 )
 from .grover import (
     GroverInstance,
+    amplification_path,
     analytic_path,
     analytic_trajectory,
     phi_of_step,
@@ -43,11 +46,10 @@ from .period import (
     GROVER_ADIABATIC,
     SHOR,
     PeriodInstance,
-    classify_modulus,
     compare_methods,
     factor,
 )
-from .states import ResourceLimitError, basis_state, new_uniform
+from .states import ResourceLimitError, basis_state, new_uniform, require_amplitudes
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -94,14 +96,28 @@ def _fmt(value: float) -> str:
 
 
 def _emit(text: str, path: str | None):
-    """Write atomically to ``path``, or to stdout when no path is given."""
+    """Write atomically to ``path``, or to stdout when no path is given.
+
+    The text goes to a fresh temp file beside ``path`` that is renamed over
+    it, so overlapping runs never share a temp file and a failed write
+    leaves neither a temp file nor a partial target behind.
+    """
     if path is None:
         sys.stdout.write(text)
         return
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8", newline="") as handle:
-        handle.write(text)
-    os.replace(tmp, path)
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                               prefix=os.path.basename(path) + ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)  # mkstemp creates 0600; match open()
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def _json_text(document: dict) -> str:
@@ -130,9 +146,7 @@ def cmd_grover_trace(n_items: int, marked: list[int], steps: int, config: RunCon
     """Write the per-step trajectory table of a search run."""
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
-    if n_items > config.memory_cap:
-        raise ResourceLimitError(
-            f"statevector needs {n_items} amplitudes, cap is {config.memory_cap}")
+    require_amplitudes(n_items, config.memory_cap, "statevector")
     inst = GroverInstance(n_items, frozenset(marked))
     path = run_grover(inst, steps)
     mask = inst.marked_mask()
@@ -141,7 +155,7 @@ def cmd_grover_trace(n_items: int, marked: list[int], steps: int, config: RunCon
 
     fine = analytic_trajectory(inst, _fine_grid(path.phis[0], path.phis[-1],
                                                 config.sampling_dphi))
-    fisher = np.array([s.fisher for s in fisher_discrete(fine)])
+    fisher = fisher_discrete(fine).fisher
     res_phis, res_max = geodesic_residual_profile(fine)
     integrand = 0.5 * np.sqrt(np.maximum(fisher, 0.0))
     cumulative = np.concatenate(([0.0], np.cumsum(
@@ -183,9 +197,7 @@ def _geodesic_initial_state(inst: GroverInstance) -> GeodesicState:
 def cmd_geodesic_check(n_items: int, config: RunConfig) -> int:
     """Integrate the oscillator reduction and compare it against the
     analytic path and the simulated trajectory; write a JSON report."""
-    if n_items > config.memory_cap:
-        raise ResourceLimitError(
-            f"statevector needs {n_items} amplitudes, cap is {config.memory_cap}")
+    require_amplitudes(n_items, config.memory_cap, "statevector")
     inst = GroverInstance(n_items, frozenset({0}))
     theta = inst.theta
     last_step = max(0, int(np.floor((np.pi / (2 * theta) - 1) / 2 + 1e-12)))
@@ -208,10 +220,8 @@ def cmd_geodesic_check(n_items: int, config: RunConfig) -> int:
             dev_sim = max(dev_sim, float(np.max(np.abs(probs - sim.probs[j]))))
 
     dphi = config.sampling_dphi
-    span = np.linspace(theta, np.pi / 2,
-                       max(5, int(np.ceil((np.pi / 2 - theta) / dphi)) + 1))
-    fine = analytic_trajectory(inst, span)
-    fisher = np.array([s.fisher for s in fisher_discrete(fine)])
+    fine = amplification_path(inst, dphi)
+    fisher = fisher_discrete(fine).fisher
     act = action(fine, theta, np.pi / 2)
     dist = fubini_study_distance(new_uniform(n_items), basis_state(n_items, 0))
 
@@ -253,9 +263,6 @@ def cmd_geodesic_check(n_items: int, config: RunConfig) -> int:
 
 def cmd_factor(n: int, method: str, config: RunConfig) -> int:
     """Factor N with the chosen period finder; print the pair and counters."""
-    if n < 3:
-        raise ValueError(f"modulus must be >= 3, got {n}")
-    kind = classify_modulus(n)
     rng = np.random.default_rng(config.seed)
     result = factor(n, method, rng, budget=config.budget,
                     samples=config.samples, memory_cap=config.memory_cap)
@@ -275,9 +282,10 @@ def cmd_factor(n: int, method: str, config: RunConfig) -> int:
     }
     if config.output_path is not None:
         _emit(_json_text(document), config.output_path)
-    if kind != "ok":
+    if result.classical_route is not None:
         note = f" (trivial factor {result.factors[0]})" if result.factors else ""
-        print(f"error: {n} is {kind}; not a valid target{note}", file=sys.stderr)
+        print(f"error: {n} is {result.classical_route}; not a valid target{note}",
+              file=sys.stderr)
         return EXIT_USAGE
     if result.succeeded:
         p, q = result.factors
@@ -291,13 +299,8 @@ def cmd_factor(n: int, method: str, config: RunConfig) -> int:
 
 def cmd_compare(n: int, base: int, config: RunConfig) -> int:
     """Write the side-by-side period-finding report for (N, y)."""
-    inst = PeriodInstance(n, base)
-    if inst.register_size * inst.modulus > config.memory_cap:
-        raise ResourceLimitError(
-            f"register needs {inst.register_size * inst.modulus} amplitudes, "
-            f"cap is {config.memory_cap}")
     report = compare_methods(
-        inst, config.seed, samples=config.samples,
+        PeriodInstance(n, base), config.seed, samples=config.samples,
         shor_attempts=config.budget, grover_rounds=config.budget,
         trace_dphi=config.sampling_dphi, memory_cap=config.memory_cap)
     _emit(_json_text(report.to_dict()), config.output_path)
@@ -310,50 +313,56 @@ def _parse_marked(text: str) -> list[int]:
     return [int(part) for part in items]
 
 
+_OPTIONS = {
+    "out": dict(default=None, metavar="PATH", help="output file (stdout when omitted)"),
+    "seed": dict(type=int, required=True, help="64-bit RNG seed (required)"),
+    "format": dict(choices=("csv", "json"), default="csv"),
+    "dphi": dict(type=float, default=0.01,
+                 help="sampling step for analytic resampling, in (0, 0.1]"),
+    "memory-cap": dict(type=int, default=DEFAULT_MEMORY_CAP,
+                       help="complex-amplitude budget"),
+    "budget": dict(type=int, default=16,
+                   help="attempt budget for period finding / factoring"),
+    "samples": dict(type=int, default=3,
+                    help="readouts of the amplified state per round"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qgeodesic",
         description="Search and period-finding simulations with "
                     "information-geometric diagnostics.")
+    # Options a subcommand does not read keep these defaults.
+    parser.set_defaults(**{name.replace("-", "_"): spec.get("default")
+                           for name, spec in _OPTIONS.items()})
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seed_required=False, with_format=False):
-        p.add_argument("--out", dest="out", default=None, metavar="PATH",
-                       help="output file (stdout when omitted)")
-        p.add_argument("--seed", type=int, required=seed_required, default=None,
-                       help="64-bit RNG seed" + (" (required)" if seed_required else ""))
-        if with_format:
-            p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--dphi", type=float, default=0.01,
-                       help="sampling step for analytic resampling, in (0, 0.1]")
-        p.add_argument("--memory-cap", type=int, default=DEFAULT_MEMORY_CAP,
-                       help="complex-amplitude budget")
-        p.add_argument("--budget", type=int, default=16,
-                       help="attempt budget for period finding / factoring")
-        p.add_argument("--samples", type=int, default=3,
-                       help="readouts of the amplified state per round")
+    def options(p, *names):
+        for name in names:
+            p.add_argument(f"--{name}", **_OPTIONS[name])
 
     p_trace = sub.add_parser("grover-trace", help="per-step search trajectory table")
     p_trace.add_argument("n_items", type=int)
     p_trace.add_argument("--marked", required=True, type=_parse_marked,
                          metavar="I[,J,...]", help="marked basis indices")
     p_trace.add_argument("--steps", required=True, type=int)
-    common(p_trace, with_format=True)
+    options(p_trace, "out", "format", "dphi", "memory-cap")
 
     p_geo = sub.add_parser("geodesic-check",
                            help="oscillator integration vs path and simulation")
     p_geo.add_argument("n_items", type=int)
-    common(p_geo)
+    options(p_geo, "out", "dphi", "memory-cap")
 
     p_factor = sub.add_parser("factor", help="factor an odd composite")
     p_factor.add_argument("modulus", type=int)
     p_factor.add_argument("--method", choices=(SHOR, GROVER_ADIABATIC), required=True)
-    common(p_factor, seed_required=True)
+    options(p_factor, "out", "seed", "memory-cap", "budget", "samples")
 
     p_cmp = sub.add_parser("compare", help="projection vs amplification report")
     p_cmp.add_argument("modulus", type=int)
     p_cmp.add_argument("base", type=int)
-    common(p_cmp, seed_required=True)
+    options(p_cmp, "out", "seed", "dphi", "memory-cap", "budget", "samples")
 
     return parser
 
@@ -365,7 +374,7 @@ def main(argv: list[str] | None = None) -> int:
         config = RunConfig(
             seed=args.seed,
             output_path=args.out,
-            format=getattr(args, "format", "csv"),
+            format=args.format,
             sampling_dphi=args.dphi,
             memory_cap=args.memory_cap,
             budget=args.budget,
@@ -380,8 +389,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "compare":
             return cmd_compare(args.modulus, args.base, config)
         raise AssertionError(f"unhandled command {args.command!r}")
-    except ResourceLimitError as exc:
-        print(f"resource error: {exc}", file=sys.stderr)
+    except (ResourceLimitError, MemoryError) as exc:
+        print(f"resource error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_RESOURCE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

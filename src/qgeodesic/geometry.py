@@ -22,20 +22,6 @@ FISHER_GUARD = 1e-12
 
 
 @dataclass(frozen=True)
-class FisherSample:
-    """Path functionals at one parameter value.
-
-    ``induced_speed_sq`` is the squared speed of the path in the
-    Fubini-Study metric per unit parameter, (fisher + 4 phase_variance) / 4.
-    """
-
-    phi: float
-    fisher: float
-    phase_variance: float
-    induced_speed_sq: float
-
-
-@dataclass(frozen=True)
 class GeodesicState:
     """Amplitude coordinates x_i = sqrt(p_i) and their parameter velocity."""
 
@@ -63,22 +49,22 @@ class UnitarityReport:
     phase_variance: np.ndarray
 
 
-def _amplitude_coords(path: ProbabilityPath) -> tuple[np.ndarray, bool]:
-    """Real derivative coordinates for the path, and whether phases vary."""
-    if path.amps is not None:
-        amps = np.asarray(path.amps)
-        if np.iscomplexobj(amps):
-            if np.max(np.abs(amps.imag)) <= 1e-12:
-                return np.ascontiguousarray(amps.real, dtype=np.float64), False
-            return np.abs(amps), True
-        return np.ascontiguousarray(amps, dtype=np.float64), False
-    return np.sqrt(path.probs), False
+def _derivatives(path: ProbabilityPath) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
+    """Real derivative coordinates x, their velocity xdot, the Fisher
+    function 4 sum xdot^2, and whether the amplitude phases vary."""
+    amps, phases_vary = path.amps, False
+    if amps is None:
+        coords = np.sqrt(path.probs)
+    elif np.iscomplexobj(amps) and np.max(np.abs(amps.imag)) > 1e-12:
+        coords, phases_vary = np.abs(amps), True
+    else:
+        coords = np.ascontiguousarray(amps.real, dtype=np.float64)
+    xdot = np.gradient(coords, path.phis, axis=0, edge_order=2)
+    return coords, xdot, 4.0 * np.sum(xdot**2, axis=1), phases_vary
 
 
 def _fisher_and_phase(path: ProbabilityPath) -> tuple[np.ndarray, np.ndarray]:
-    coords, phases_vary = _amplitude_coords(path)
-    xdot = np.gradient(coords, path.phis, axis=0, edge_order=2)
-    fisher = 4.0 * np.sum(xdot**2, axis=1)
+    _, _, fisher, phases_vary = _derivatives(path)
     if phases_vary:
         angles = np.unwrap(np.angle(np.asarray(path.amps)), axis=0)
         angdot = np.gradient(angles, path.phis, axis=0, edge_order=2)
@@ -97,19 +83,21 @@ def _require_samples(path: ProbabilityPath, minimum: int):
             f"need at least {minimum} samples, got {path.n_samples}")
 
 
-def fisher_discrete(path: ProbabilityPath) -> list[FisherSample]:
+def fisher_discrete(path: ProbabilityPath) -> np.recarray:
     """Estimate the Fisher information function along a sampled path.
 
-    Interior samples use central differences, the two endpoints one-sided
-    second-order stencils.  The phase-variance term is extracted from
-    recorded complex amplitudes (zero for constant-phase paths).
+    Returns a record array with one record per sample and the fields
+    ``phi``, ``fisher``, ``phase_variance`` and ``induced_speed_sq``, the
+    squared Fubini-Study speed per unit parameter (fisher + 4 phase_variance)
+    / 4.  Interior samples use central differences, the two endpoints
+    one-sided second-order stencils.  The phase-variance term is extracted
+    from recorded complex amplitudes (zero for constant-phase paths).
     """
     _require_samples(path, 3)
     fisher, phase_var = _fisher_and_phase(path)
-    return [
-        FisherSample(float(p), float(f), float(v), float((f + 4.0 * v) / 4.0))
-        for p, f, v in zip(path.phis, fisher, phase_var)
-    ]
+    return np.rec.fromarrays(
+        [path.phis, fisher, phase_var, (fisher + 4.0 * phase_var) / 4.0],
+        names=("phi", "fisher", "phase_variance", "induced_speed_sq"))
 
 
 def unitarity_identity_check(path: ProbabilityPath) -> UnitarityReport:
@@ -181,29 +169,37 @@ def _second_derivative(coords: np.ndarray, phis: np.ndarray) -> np.ndarray:
     ) / (h1 * h2 * (h1 + h2))
 
 
+def _residuals(path: ProbabilityPath, lo: int, hi: int) -> np.ndarray:
+    """Geodesic equation-of-motion residual rows for samples lo..hi-1.
+
+    Evaluates xddot_i - (fisherdot/fisher) xdot_i + (fisher/4) x_i per
+    coordinate with finite-difference derivatives; raises if fisher falls
+    below the division guard at any of those samples.
+    """
+    coords, xdot, fisher, _ = _derivatives(path)
+    low = np.flatnonzero(fisher[lo:hi] < FISHER_GUARD)
+    if low.size:
+        index = lo + int(low[0])
+        raise ValueError(
+            f"fisher value {fisher[index]:g} at sample {index} below guard; "
+            "the equation of motion is singular for stationary paths")
+    fdot = np.gradient(fisher, path.phis, edge_order=2)
+    xddot = _second_derivative(coords, path.phis)[lo - 1:hi - 1]
+    return xddot - (fdot[lo:hi] / fisher[lo:hi])[:, np.newaxis] * xdot[lo:hi] \
+        + (fisher[lo:hi] / 4.0)[:, np.newaxis] * coords[lo:hi]
+
+
 def geodesic_residual(path: ProbabilityPath, index: int) -> np.ndarray:
     """Residual of the geodesic equation of motion at one interior sample.
 
-    Evaluates xddot_i - (fisherdot/fisher) xdot_i + (fisher/4) x_i per
-    coordinate with finite-difference derivatives.  Valid indices are
-    2..n-3 so that every stencil, including the one for fisherdot, uses
-    central differences only.
+    Valid indices are 2..n-3 so that every stencil, including the one for
+    fisherdot, uses central differences only.
     """
     _require_samples(path, 5)
     n = path.n_samples
     if not 2 <= index <= n - 3:
         raise ValueError(f"index must lie in [2, {n - 3}] for central stencils")
-    coords, _ = _amplitude_coords(path)
-    xdot = np.gradient(coords, path.phis, axis=0, edge_order=2)
-    fisher = 4.0 * np.sum(xdot**2, axis=1)
-    if fisher[index] < FISHER_GUARD:
-        raise ValueError(
-            f"fisher value {fisher[index]:g} at sample {index} below guard; "
-            "the equation of motion is singular for stationary paths")
-    fdot = np.gradient(fisher, path.phis, edge_order=2)
-    xddot = _second_derivative(coords, path.phis)[index - 1]
-    return xddot - (fdot[index] / fisher[index]) * xdot[index] \
-        + (fisher[index] / 4.0) * coords[index]
+    return _residuals(path, index, index + 1)[0]
 
 
 def geodesic_residual_profile(path: ProbabilityPath) -> tuple[np.ndarray, np.ndarray]:
@@ -213,18 +209,8 @@ def geodesic_residual_profile(path: ProbabilityPath) -> tuple[np.ndarray, np.nda
     division guard anywhere in that range.
     """
     _require_samples(path, 5)
-    coords, _ = _amplitude_coords(path)
-    phis = path.phis
-    xdot = np.gradient(coords, phis, axis=0, edge_order=2)
-    fisher = 4.0 * np.sum(xdot**2, axis=1)
     lo, hi = 2, path.n_samples - 2  # slice end, valid indices 2..n-3
-    if np.any(fisher[lo:hi] < FISHER_GUARD):
-        raise ValueError("fisher below guard inside the path; residual undefined")
-    fdot = np.gradient(fisher, phis, edge_order=2)
-    xddot = _second_derivative(coords, phis)[lo - 1:hi - 1]
-    res = xddot - (fdot[lo:hi] / fisher[lo:hi])[:, np.newaxis] * xdot[lo:hi] \
-        + (fisher[lo:hi] / 4.0)[:, np.newaxis] * coords[lo:hi]
-    return phis[lo:hi].copy(), np.max(np.abs(res), axis=1)
+    return path.phis[lo:hi].copy(), np.max(np.abs(_residuals(path, lo, hi)), axis=1)
 
 
 def integrate_geodesic(

@@ -76,13 +76,6 @@ def _analytic_probs(inst: GroverInstance, phi: float) -> np.ndarray:
     return probs
 
 
-def _analytic_amps(inst: GroverInstance, phi: float) -> np.ndarray:
-    n, m = inst.n_items, inst.n_marked
-    amps = np.full(n, np.cos(phi) / np.sqrt(n - m))
-    amps[inst.marked_mask()] = np.sin(phi) / np.sqrt(m)
-    return amps
-
-
 def analytic_path(inst: GroverInstance, phi: float) -> np.ndarray:
     """Distribution at parameter phi: total marked mass sin^2(phi), uniform
     within the marked and unmarked classes.  Valid for phi in [0, pi/2]."""
@@ -99,9 +92,18 @@ def analytic_trajectory(inst: GroverInstance, phis: np.ndarray) -> ProbabilityPa
     amplitudes recorded so derivative estimates stay clean across zero
     crossings of the amplitudes.
     """
-    phis = np.asarray(phis, dtype=np.float64)
-    amps = np.stack([_analytic_amps(inst, p) for p in phis])
-    return ProbabilityPath(phis, amps**2, amps)
+    n, m = inst.n_items, inst.n_marked
+    column = np.asarray(phis, dtype=np.float64)[:, np.newaxis]
+    amps = np.where(inst.marked_mask(), np.sin(column) / np.sqrt(m),
+                    np.cos(column) / np.sqrt(n - m))
+    return ProbabilityPath(column[:, 0], amps**2, amps)
+
+
+def amplification_path(inst: GroverInstance, dphi: float) -> ProbabilityPath:
+    """The closed-form path from the uniform state at phi = theta to the
+    solution at pi/2, resampled at step <= dphi (at least 5 samples)."""
+    count = max(5, int(np.ceil((np.pi / 2 - inst.theta) / dphi)) + 1)
+    return analytic_trajectory(inst, np.linspace(inst.theta, np.pi / 2, count))
 
 
 def phi_of_step(inst: GroverInstance, step: int) -> float:

@@ -19,27 +19,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
-
 import numpy as np
 
 from .geometry import fisher_discrete
-from .grover import GroverInstance, analytic_trajectory, grover_step, optimal_iterations
-from .states import ResourceLimitError, StateVector, measure_register, new_uniform, qft
+from .grover import GroverInstance, amplification_path, grover_step, optimal_iterations
+from .states import StateVector, measure_register, new_uniform, qft, require_amplitudes
 
 DEFAULT_MEMORY_CAP = 1 << 26  # complex amplitudes
 
 SHOR = "shor"
 GROVER_ADIABATIC = "grover-adiabatic"
-
-
-def modpow(y: int, a: int, n: int) -> int:
-    """y**a mod n by square-and-multiply (built-in three-argument pow)."""
-    if n < 1:
-        raise ValueError(f"modulus must be >= 1, got {n}")
-    if a < 0:
-        raise ValueError(f"exponent must be >= 0, got {a}")
-    return pow(y, a, n)
 
 
 def order_bruteforce(y: int, n: int) -> int:
@@ -120,9 +109,7 @@ def build_register(inst: PeriodInstance, memory_cap: int = DEFAULT_MEMORY_CAP) -
     ``memory_cap``.
     """
     q, n = inst.register_size, inst.modulus
-    if q * n > memory_cap:
-        raise ResourceLimitError(
-            f"register needs {q * n} amplitudes, cap is {memory_cap}")
+    require_amplitudes(q * n, memory_cap, "register")
     table = _modexp_table(inst)
     amps = np.zeros(q * n, dtype=np.complex128)
     amps[np.arange(q, dtype=np.int64) * n + table] = 1.0 / np.sqrt(q)
@@ -160,17 +147,6 @@ def continued_fraction_denominator(c: int, q: int, bound: int) -> int | None:
         else:
             break
     return best
-
-
-def period_oracle_predicate(inst: PeriodInstance) -> Callable[[int], bool]:
-    """Predicate over a in [0, q): true exactly when y^a = y^1 (mod N)."""
-    table = _modexp_table(inst)
-    target = int(table[1])
-
-    def predicate(a: int) -> bool:
-        return int(table[a]) == target
-
-    return predicate
 
 
 def marked_arguments(inst: PeriodInstance) -> np.ndarray:
@@ -259,20 +235,23 @@ def shor_period(
     return PeriodResult(SHOR, None, oracle_calls, measurements, max_attempts, False)
 
 
+def _search_instance(inst: PeriodInstance) -> GroverInstance:
+    """Search over the argument register for {a : y^a = y (mod N)}."""
+    return GroverInstance(inst.register_size,
+                          frozenset(int(a) for a in marked_arguments(inst)))
+
+
 def _amplified_state(inst: PeriodInstance, memory_cap: int) -> tuple[StateVector, int, int]:
     """Run the search loop over the argument register; returns the state
     just before readout, the iteration count, and the marked count."""
-    q = inst.register_size
-    if q > memory_cap:
-        raise ResourceLimitError(f"register needs {q} amplitudes, cap is {memory_cap}")
-    marked = marked_arguments(inst)
-    search = GroverInstance(q, frozenset(int(a) for a in marked))
+    require_amplitudes(inst.register_size, memory_cap, "register")
+    search = _search_instance(inst)
     steps = optimal_iterations(search)
     mask = search.marked_mask()
-    state = new_uniform(q)
+    state = new_uniform(search.n_items)
     for _ in range(steps):
         state = grover_step(state, mask)
-    return state, steps, marked.size
+    return state, steps, search.n_marked
 
 
 def _period_from_samples(y: int, n: int, outcomes: list[int]) -> int | None:
@@ -332,13 +311,22 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _integer_root(n: int, k: int) -> int:
+    """floor(n ** (1/k)) for n >= 1, exactly, by integer Newton iteration."""
+    x = 1 << -(-n.bit_length() // k)  # 2^ceil(bits/k) exceeds the root
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
 def _prime_power_base(n: int) -> int | None:
     """The prime p with n = p^k (k >= 2), or None."""
-    for k in range(2, n.bit_length() + 1):
-        root = round(n ** (1.0 / k))
-        for p in (root - 1, root, root + 1):
-            if p >= 2 and p**k == n:
-                return p
+    for k in range(n.bit_length(), 1, -1):
+        root = _integer_root(n, k)
+        if root**k == n:  # largest k first, so root is no perfect power
+            return root if _is_prime(root) else None
     return None
 
 
@@ -454,10 +442,6 @@ class MethodReport:
             "attempts": self.attempts,
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "MethodReport":
-        return cls(**data)
-
 
 @dataclass(frozen=True)
 class ComparisonReport:
@@ -489,33 +473,12 @@ class ComparisonReport:
             },
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "ComparisonReport":
-        return cls(
-            seed=data["seed"],
-            modulus=data["instance"]["modulus"],
-            base=data["instance"]["base"],
-            register_size=data["instance"]["register_size"],
-            methods={
-                name: MethodReport.from_dict(rep)
-                for name, rep in data["methods"].items()
-            },
-            fisher_phis=list(data["fisher_trace"]["phi"]),
-            fisher_values=list(data["fisher_trace"]["fisher"]),
-            format_version=data["format_version"],
-        )
-
 
 def _fisher_trace(inst: PeriodInstance, dphi: float) -> tuple[list[float], list[float]]:
     """Fisher values along the amplification path, from the uniform state at
     phi = theta to the amplified state at pi/2, resampled at step dphi."""
-    marked = marked_arguments(inst)
-    search = GroverInstance(inst.register_size, frozenset(int(a) for a in marked))
-    span = np.pi / 2 - search.theta
-    count = max(5, int(np.ceil(span / dphi)) + 1)
-    phis = np.linspace(search.theta, np.pi / 2, count)
-    samples = fisher_discrete(analytic_trajectory(search, phis))
-    return [s.phi for s in samples], [s.fisher for s in samples]
+    trace = fisher_discrete(amplification_path(_search_instance(inst), dphi))
+    return trace.phi.tolist(), trace.fisher.tolist()
 
 
 def compare_methods(

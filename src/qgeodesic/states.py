@@ -9,15 +9,22 @@ are pure: they take a state and return a new one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Union
+from typing import Iterable, Union
 
 import numpy as np
 
-MarkedSpec = Union[Callable[[int], bool], Iterable[int], np.ndarray]
+MarkedSpec = Union[Iterable[int], np.ndarray]
 
 
 class ResourceLimitError(Exception):
     """Requested statevector exceeds the configured amplitude budget."""
+
+
+def require_amplitudes(count: int, cap: int, what: str):
+    """Raise :class:`ResourceLimitError` before allocating ``count`` complex
+    amplitudes for ``what`` when that exceeds ``cap``."""
+    if count > cap:
+        raise ResourceLimitError(f"{what} needs {count} amplitudes, cap is {cap}")
 
 
 @dataclass(frozen=True)
@@ -93,8 +100,6 @@ def probabilities(state: StateVector) -> np.ndarray:
 
 
 def _marked_mask(marked: MarkedSpec, dim: int) -> np.ndarray:
-    if callable(marked):
-        return np.fromiter((bool(marked(i)) for i in range(dim)), dtype=bool, count=dim)
     arr = np.asarray(list(marked) if not isinstance(marked, np.ndarray) else marked)
     if arr.dtype == bool:
         if arr.size != dim:
@@ -112,8 +117,7 @@ def _marked_mask(marked: MarkedSpec, dim: int) -> np.ndarray:
 def phase_flip(state: StateVector, marked: MarkedSpec) -> StateVector:
     """Negate the amplitude of every marked basis state (flat indices).
 
-    ``marked`` may be a predicate over [0, dim), an index collection, or a
-    boolean mask of length dim.
+    ``marked`` may be an index collection or a boolean mask of length dim.
     """
     mask = _marked_mask(marked, state.dim)
     amps = state.amplitudes.copy()

@@ -1,12 +1,15 @@
 """Command-line behavior: outputs, formats, exit codes, determinism."""
 
 import json
+import os
+import stat
 from importlib import resources
 
 import numpy as np
 import pytest
 
-from qgeodesic.cli import main
+from qgeodesic import cli
+from qgeodesic.cli import _emit, main
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
@@ -232,3 +235,89 @@ class TestStdoutFallback:
         assert run(["grover-trace", "4", "--marked", "0", "--steps", "1"]) == 0
         out = capsys.readouterr().out
         assert out.startswith("# format_version=1")
+
+
+class TestDroppedFlags:
+    """Each subcommand accepts only the options it reads."""
+
+    CASES = [
+        ["grover-trace", "4", "--marked", "0", "--steps", "1", "--seed", "1"],
+        ["grover-trace", "4", "--marked", "0", "--steps", "1", "--budget", "2"],
+        ["grover-trace", "4", "--marked", "0", "--steps", "1", "--samples", "2"],
+        ["geodesic-check", "4", "--seed", "1"],
+        ["geodesic-check", "4", "--budget", "2"],
+        ["geodesic-check", "4", "--samples", "2"],
+        ["factor", "15", "--method", "shor", "--seed", "1", "--dphi", "0.01"],
+    ]
+
+    @pytest.mark.parametrize("args", CASES, ids=[f"{c[0]}{c[-2]}" for c in CASES])
+    def test_exits_2(self, args):
+        with pytest.raises(SystemExit) as exc:
+            run(args)
+        assert exc.value.code == 2
+
+
+class TestResourceErrors:
+    def test_memory_error_exits_3(self, monkeypatch, capsys):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 430. GiB")
+        monkeypatch.setattr(cli, "run_grover", exhausted)
+        assert run(["geodesic-check", "16"]) == 3
+        assert capsys.readouterr().err == "resource error: Unable to allocate 430. GiB\n"
+        assert run(["grover-trace", "16", "--marked", "0", "--steps", "2"]) == 3
+
+    def test_bare_memory_error_is_named(self, monkeypatch, capsys):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+        monkeypatch.setattr(cli, "run_grover", exhausted)
+        assert run(["geodesic-check", "16"]) == 3
+        assert capsys.readouterr().err == "resource error: out of memory\n"
+
+
+class TestFactorModuli:
+    def test_prime_power_reports_the_prime(self, capsys):
+        assert run(["factor", "81", "--method", "shor", "--seed", "1"]) == 2
+        assert "(trivial factor 3)" in capsys.readouterr().err
+
+    def test_modulus_beyond_float_range_is_a_usage_error(self, capsys):
+        assert run(["factor", str(3 * 7**500), "--method", "shor", "--seed", "1"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+def file_mode(path):
+    umask = os.umask(0)
+    os.umask(umask)
+    return stat.S_IMODE(os.stat(path).st_mode), 0o666 & ~umask
+
+
+class TestAtomicWrite:
+    def test_file_matches_stdout_bytes(self, tmp_path, capsys):
+        args = ["grover-trace", "16", "--marked", "0,5", "--steps", "3"]
+        assert run(args) == 0
+        stdout = capsys.readouterr().out
+        code, out = run_to_file(tmp_path, "t.csv", args)
+        assert code == 0
+        assert out.read_bytes() == stdout.encode("utf-8")
+        assert os.listdir(tmp_path) == ["t.csv"]
+
+    def test_mode_matches_plain_open(self, tmp_path):
+        target = tmp_path / "r.json"
+        _emit("{}\n", str(target))
+        mode, expected = file_mode(target)
+        assert mode == expected
+
+    def test_failed_encode_leaves_nothing(self, tmp_path):
+        target = tmp_path / "r.json"
+        target.write_bytes(b"old")
+        with pytest.raises(UnicodeEncodeError):
+            _emit("x" * 100_000 + "\ud800", str(target))
+        assert target.read_bytes() == b"old"
+        assert os.listdir(tmp_path) == ["r.json"]
+
+    def test_failure_after_write_leaves_nothing(self, tmp_path, monkeypatch):
+        def fail(*args, **kwargs):
+            raise OSError("device lost")
+        monkeypatch.setattr(cli.os, "replace", fail)
+        with pytest.raises(OSError, match="device lost"):
+            _emit("row\n" * 1000, str(tmp_path / "r.csv"))
+        assert os.listdir(tmp_path) == []

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qgeodesic import (
     GeodesicState,
@@ -23,6 +25,7 @@ from qgeodesic import (
     run_grover,
     unitarity_identity_check,
 )
+from qgeodesic.grover import amplification_path
 
 
 def grover_fine_path(n, dphi=0.01, lo=None, hi=np.pi / 2):
@@ -54,7 +57,24 @@ def injected_phase_path(n_samples=41, dphi=0.01):
     return ProbabilityPath(phis, np.tile(p, (n_samples, 1)), amps)
 
 
+@st.composite
+def analytic_paths(draw):
+    """Closed-form amplification paths over random (N, marked set, dphi)."""
+    n = draw(st.integers(2, 64))
+    marked = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n - 1))
+    dphi = draw(st.floats(0.002, 0.1))
+    return amplification_path(GroverInstance(n, frozenset(marked)), dphi)
+
+
 class TestFisherDiscrete:
+    def test_record_array(self):
+        path = grover_fine_path(16)
+        samples = fisher_discrete(path)
+        assert isinstance(samples, np.recarray)
+        assert samples.dtype.names == (
+            "phi", "fisher", "phase_variance", "induced_speed_sq")
+        assert np.array_equal(samples.phi, path.phis)
+
     def test_grover_path_constant_four(self):
         samples = fisher_discrete(grover_fine_path(16, dphi=0.01))
         interior = np.array([s.fisher for s in samples[1:-1]])
@@ -243,6 +263,14 @@ class TestGeodesicResidual:
         assert maxima[0] > maxima[1] > maxima[2]
         assert maxima[0] / maxima[1] > 3.0
         assert maxima[1] / maxima[2] > 3.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(analytic_paths())
+    def test_single_index_matches_profile(self, path):
+        phis, profile = geodesic_residual_profile(path)
+        assert np.array_equal(phis, path.phis[2:-2])
+        for i in range(2, path.n_samples - 2):
+            assert np.max(np.abs(geodesic_residual(path, i))) == profile[i - 2]
 
     def test_stationary_path_guard(self):
         with pytest.raises(ValueError):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qgeodesic import (
     GroverInstance,
@@ -210,3 +212,18 @@ class TestAnalyticTrajectory:
         assert path.amps is not None
         assert np.any(path.amps < 0)  # unmarked amplitudes turn negative
         assert np.allclose(path.probs.sum(axis=1), 1.0, atol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 64).flatmap(lambda n: st.tuples(
+        st.just(n), st.sets(st.integers(0, n - 1), min_size=1, max_size=n - 1))),
+        st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=20))
+    def test_rows_match_per_sample_closed_form(self, instance, phis):
+        """The vectorised trajectory equals the per-sample closed form
+        bit for bit: marked sin(phi)/sqrt(M), unmarked cos(phi)/sqrt(N-M)."""
+        n, marked = instance
+        inst = GroverInstance(n, frozenset(marked))
+        path = analytic_trajectory(inst, np.array(phis))
+        for phi, row in zip(path.phis, path.amps):
+            expected = np.full(n, np.cos(phi) / np.sqrt(n - len(marked)))
+            expected[sorted(marked)] = np.sin(phi) / np.sqrt(len(marked))
+            assert np.array_equal(row, expected)

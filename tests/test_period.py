@@ -7,11 +7,12 @@ from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qgeodesic import (
     GROVER_ADIABATIC,
     SHOR,
-    ComparisonReport,
     PeriodInstance,
     ResourceLimitError,
     build_register,
@@ -22,16 +23,16 @@ from qgeodesic import (
     factor,
     grover_period,
     marked_arguments,
-    modpow,
     order_bruteforce,
-    period_oracle_predicate,
     shor_period,
     shor_project,
     shor_sample,
 )
 from qgeodesic.period import (
     _amplified_state,
+    _integer_root,
     _period_from_samples,
+    _prime_power_base,
     _verified_minimal_period,
 )
 
@@ -40,31 +41,6 @@ FACTORABLE = [15, 21, 33, 35, 39, 45]  # odd composite non-prime-powers <= 50
 
 def valid_bases(n):
     return [y for y in range(2, n) if math.gcd(y, n) == 1]
-
-
-class TestModPow:
-    @pytest.mark.parametrize("y,a,n,expected", [
-        (2, 0, 15, 1), (2, 4, 15, 1), (7, 4, 15, 1), (3, 5, 7, 5),
-    ])
-    def test_examples(self, y, a, n, expected):
-        assert modpow(y, a, n) == expected
-
-    def test_against_repeated_multiplication(self):
-        rng = np.random.default_rng(1)
-        for _ in range(50):
-            y = int(rng.integers(0, 50))
-            a = int(rng.integers(0, 40))
-            n = int(rng.integers(1, 60))
-            value = 1 % n
-            for _ in range(a):
-                value = value * y % n
-            assert modpow(y, a, n) == value
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            modpow(2, 3, 0)
-        with pytest.raises(ValueError):
-            modpow(2, -1, 15)
 
 
 class TestOrderBruteforce:
@@ -214,11 +190,9 @@ class TestContinuedFractions:
 class TestOraclePredicate:
     def test_n15_marked_set(self):
         inst = PeriodInstance(15, 2)
-        predicate = period_oracle_predicate(inst)
         expected = {a for a in range(256) if pow(2, a, 15) == 2}
-        assert expected == {a for a in range(256) if predicate(a)}
+        assert expected == set(marked_arguments(inst).tolist())
         assert expected == set(range(1, 256, 4))
-        assert predicate(1)
         # enumerated count is 64; the truncated-quotient estimate gives 63
         assert len(expected) == 64
         assert (256 - 1) // 4 == 63
@@ -383,6 +357,24 @@ class TestFactor:
         assert classify_modulus(8) == "even"
         assert classify_modulus(13) == "prime"
 
+    def test_prime_power_base_is_the_prime(self):
+        assert _prime_power_base(81) == 3
+        assert _prime_power_base(729) == 3
+        assert _prime_power_base(7**500) == 7
+        assert _prime_power_base(3 * 7**500) is None
+        assert _prime_power_base(225) is None  # 15^2 is no prime power
+        assert factor(81, SHOR, np.random.default_rng(0)).factors == (3, 27)
+
+    def test_classify_beyond_float_range(self):
+        assert classify_modulus(7**500) == "prime-power"
+        assert classify_modulus(3 * 7**500) == "ok"
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 10**60), st.integers(2, 12))
+    def test_integer_root_is_floor(self, n, k):
+        root = _integer_root(n, k)
+        assert root**k <= n < (root + 1) ** k
+
     def test_deterministic(self):
         runs = [factor(35, GROVER_ADIABATIC, np.random.default_rng(12))
                 for _ in range(2)]
@@ -399,12 +391,6 @@ class TestCompareMethods:
         assert grover.measurements == 3 * grover.attempts
         fisher = np.array(report.fisher_values)
         assert np.max(np.abs(fisher - 4.0)) < 1e-3
-
-    def test_round_trip(self):
-        report = compare_methods(PeriodInstance(15, 2), seed=3)
-        clone = ComparisonReport.from_dict(
-            json.loads(json.dumps(report.to_dict())))
-        assert clone == report
 
     def test_schema_validation(self):
         jsonschema = pytest.importorskip("jsonschema")

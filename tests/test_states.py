@@ -81,10 +81,6 @@ class TestPhaseFlip:
         assert np.allclose(flipped.amplitudes, -state.amplitudes)
         assert np.allclose(probabilities(flipped), probabilities(state))
 
-    def test_predicate_form(self):
-        state = phase_flip(new_uniform(4), lambda i: i % 2 == 0)
-        assert np.allclose(state.amplitudes, [-0.5, 0.5, -0.5, 0.5])
-
     def test_norm_preserved(self):
         rng = np.random.default_rng(5)
         state = random_state(64, rng)
