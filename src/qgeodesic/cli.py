@@ -36,6 +36,7 @@ from .geometry import (
 from .grover import (
     GroverInstance,
     amplification_path,
+    amplification_samples,
     analytic_path,
     analytic_trajectory,
     phi_of_step,
@@ -148,13 +149,15 @@ def cmd_grover_trace(n_items: int, marked: list[int], steps: int, config: RunCon
         raise ValueError(f"steps must be >= 0, got {steps}")
     require_amplitudes(n_items, config.memory_cap, "statevector")
     inst = GroverInstance(n_items, frozenset(marked))
+    require_amplitudes((steps + 1) * n_items, config.memory_cap, "trajectory")
     path = run_grover(inst, steps)
     mask = inst.marked_mask()
     p_marked = path.probs[:, mask].sum(axis=1)
     p_unmarked = path.probs[:, ~mask].sum(axis=1)
 
-    fine = analytic_trajectory(inst, _fine_grid(path.phis[0], path.phis[-1],
-                                                config.sampling_dphi))
+    grid = _fine_grid(path.phis[0], path.phis[-1], config.sampling_dphi)
+    require_amplitudes(grid.size * n_items, config.memory_cap, "resampled path")
+    fine = analytic_trajectory(inst, grid)
     fisher = fisher_discrete(fine).fisher
     res_phis, res_max = geodesic_residual_profile(fine)
     integrand = 0.5 * np.sqrt(np.maximum(fisher, 0.0))
@@ -200,7 +203,11 @@ def cmd_geodesic_check(n_items: int, config: RunConfig) -> int:
     require_amplitudes(n_items, config.memory_cap, "statevector")
     inst = GroverInstance(n_items, frozenset({0}))
     theta = inst.theta
+    dphi = config.sampling_dphi
     last_step = max(0, int(np.floor((np.pi / (2 * theta) - 1) / 2 + 1e-12)))
+    require_amplitudes((last_step + 1) * n_items, config.memory_cap, "trajectory")
+    require_amplitudes(amplification_samples(inst, dphi) * n_items, config.memory_cap,
+                       "resampled path")
     sim = run_grover(inst, last_step)
 
     targets = [(phi_of_step(inst, j), j) for j in range(1, last_step + 1)]
@@ -219,7 +226,6 @@ def cmd_geodesic_check(n_items: int, config: RunConfig) -> int:
         if j is not None:
             dev_sim = max(dev_sim, float(np.max(np.abs(probs - sim.probs[j]))))
 
-    dphi = config.sampling_dphi
     fine = amplification_path(inst, dphi)
     fisher = fisher_discrete(fine).fisher
     act = action(fine, theta, np.pi / 2)

@@ -99,11 +99,16 @@ def analytic_trajectory(inst: GroverInstance, phis: np.ndarray) -> ProbabilityPa
     return ProbabilityPath(column[:, 0], amps**2, amps)
 
 
+def amplification_samples(inst: GroverInstance, dphi: float) -> int:
+    """Row count of :func:`amplification_path`: step <= dphi, at least 5."""
+    return max(5, int(np.ceil((np.pi / 2 - inst.theta) / dphi)) + 1)
+
+
 def amplification_path(inst: GroverInstance, dphi: float) -> ProbabilityPath:
     """The closed-form path from the uniform state at phi = theta to the
     solution at pi/2, resampled at step <= dphi (at least 5 samples)."""
-    count = max(5, int(np.ceil((np.pi / 2 - inst.theta) / dphi)) + 1)
-    return analytic_trajectory(inst, np.linspace(inst.theta, np.pi / 2, count))
+    return analytic_trajectory(
+        inst, np.linspace(inst.theta, np.pi / 2, amplification_samples(inst, dphi)))
 
 
 def phi_of_step(inst: GroverInstance, step: int) -> float:

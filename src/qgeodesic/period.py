@@ -2,10 +2,12 @@
 
 Two period finders share the same number-theoretic post-processing:
 
-* ``shor_period`` builds the two-register state sum_a |a>|y^a mod N>,
-  projects it by measuring the second register, Fourier-transforms the
-  first register, and extracts the period from the measured frequency by
-  continued fractions.
+* ``shor_period`` measures the second register of the two-register state
+  sum_a |a>|y^a mod N>, Fourier-transforms the first register, and
+  extracts the period from the measured frequency by continued fractions.
+  It holds only the one q-long column the projection leaves nonzero;
+  ``build_register`` and ``shor_project`` keep the dense pair state as the
+  reference.
 
 * ``grover_period`` amplifies the arguments a with y^a = y (mod N) by
   running amplitude amplification over the first register, samples the
@@ -22,7 +24,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import fisher_discrete
-from .grover import GroverInstance, amplification_path, grover_step, optimal_iterations
+from .grover import (
+    GroverInstance,
+    amplification_path,
+    amplification_samples,
+    grover_step,
+    optimal_iterations,
+)
 from .states import StateVector, measure_register, new_uniform, qft, require_amplitudes
 
 DEFAULT_MEMORY_CAP = 1 << 26  # complex amplitudes
@@ -93,12 +101,15 @@ class PeriodResult:
 
 
 def _modexp_table(inst: PeriodInstance) -> np.ndarray:
-    """f(a) = y^a mod N for a in [0, q)."""
-    table = np.empty(inst.register_size, dtype=np.int64)
-    value = 1
-    for a in range(inst.register_size):
-        table[a] = value
-        value = value * inst.base % inst.modulus
+    """f(a) = y^a mod N for a in [0, q), by doubling: entries [s, 2s) are
+    entries [0, s) times y^s.  Products stay below N^2 < q, within int64."""
+    q, n = inst.register_size, inst.modulus
+    table = np.empty(q, dtype=np.int64)
+    table[0] = 1
+    size = 1
+    while size < q:
+        table[size:2 * size] = table[:size] * pow(inst.base, size, n) % n
+        size *= 2
     return table
 
 
@@ -188,16 +199,39 @@ def _verified_minimal_period(y: int, n: int, candidate: int) -> int | None:
     return g
 
 
+def _sample_column(
+    inst: PeriodInstance, table: np.ndarray, rng: np.random.Generator
+) -> tuple[int, int]:
+    """Measure the function register, then Fourier-sample the argument
+    register, on the one column of the pair state that the projection
+    leaves nonzero (Shor, quant-ph/9508027, section 5).
+
+    Makes the same draws from ``rng`` as ``build_register`` ->
+    ``shor_project`` -> ``qft`` -> ``measure_register``, with
+    probabilities equal up to rounding, from q amplitudes instead of q*N.
+    """
+    q, n = inst.register_size, inst.modulus
+    marginal = np.bincount(table, minlength=n) / q
+    marginal = marginal / marginal.sum()
+    l = int(rng.choice(n, p=marginal))
+    column = table == l
+    amps = np.zeros(q, dtype=np.complex128)
+    amps[column] = 1.0 / np.sqrt(np.count_nonzero(column))
+    c, _ = measure_register(qft(StateVector(amps)), 0, rng)
+    return l, c
+
+
 def shor_sample(
     inst: PeriodInstance, rng: np.random.Generator, memory_cap: int = DEFAULT_MEMORY_CAP
 ) -> tuple[int, int]:
     """One projection + transform attempt: returns (function value l,
-    measured frequency c)."""
-    state = build_register(inst, memory_cap)
-    l, collapsed = shor_project(state, rng)
-    transformed = qft(collapsed, register=0)
-    c, _ = measure_register(transformed, 0, rng)
-    return l, c
+    measured frequency c).
+
+    Raises :class:`ResourceLimitError` if the q amplitudes of the argument
+    register exceed ``memory_cap``.
+    """
+    require_amplitudes(inst.register_size, memory_cap, "register")
+    return _sample_column(inst, _modexp_table(inst), rng)
 
 
 def shor_period(
@@ -214,10 +248,12 @@ def shor_period(
     attempt is declared failed.
     """
     y, n, q = inst.base, inst.modulus, inst.register_size
+    require_amplitudes(q, memory_cap, "register")
+    table = _modexp_table(inst)
     oracle_calls = measurements = 0
     seen_denominators: list[int] = []
     for attempt in range(1, max_attempts + 1):
-        _, c = shor_sample(inst, rng, memory_cap)
+        _, c = _sample_column(inst, table, rng)
         oracle_calls += 1
         measurements += 2
         d = continued_fraction_denominator(c, q, n)
@@ -385,6 +421,9 @@ def factor(
         p = _prime_power_base(n)
         return FactorResult(n, method, (p, n // p), True, classical_route="prime-power")
 
+    if n >= 1 << 63:
+        raise ValueError(f"modulus of {n.bit_length()} bits is beyond the "
+                         "simulator's signed 64-bit range (N < 2^63)")
     attempts: list[dict] = []
     oracle_calls = measurements = 0
     for _ in range(budget):
@@ -474,10 +513,15 @@ class ComparisonReport:
         }
 
 
-def _fisher_trace(inst: PeriodInstance, dphi: float) -> tuple[list[float], list[float]]:
+def _fisher_trace(
+    inst: PeriodInstance, dphi: float, memory_cap: int
+) -> tuple[list[float], list[float]]:
     """Fisher values along the amplification path, from the uniform state at
     phi = theta to the amplified state at pi/2, resampled at step dphi."""
-    trace = fisher_discrete(amplification_path(_search_instance(inst), dphi))
+    search = _search_instance(inst)
+    require_amplitudes(amplification_samples(search, dphi) * search.n_items,
+                       memory_cap, "resampled path")
+    trace = fisher_discrete(amplification_path(search, dphi))
     return trace.phi.tolist(), trace.fisher.tolist()
 
 
@@ -503,7 +547,7 @@ def compare_methods(
     grover_res = grover_period(
         inst, np.random.default_rng(children[1]),
         samples=samples, max_rounds=grover_rounds, memory_cap=memory_cap)
-    phis, values = _fisher_trace(inst, trace_dphi)
+    phis, values = _fisher_trace(inst, trace_dphi, memory_cap)
     methods = {
         SHOR: MethodReport(
             SHOR, shor_res.succeeded, shor_res.period, shor_res.oracle_calls,

@@ -274,6 +274,35 @@ class TestResourceErrors:
         assert capsys.readouterr().err == "resource error: out of memory\n"
 
 
+class TestAllocationCaps:
+    """Each allocation that grows with the problem is charged before it
+    happens, after the N or q check whose message it must not change."""
+
+    @pytest.mark.parametrize("args,message", [
+        (["compare", "15", "2", "--seed", "1", "--memory-cap", "64"],
+         "register needs 256 amplitudes, cap is 64"),
+        (["compare", "15", "2", "--seed", "1", "--memory-cap", "4000"],
+         "resampled path needs 27136 amplitudes, cap is 4000"),
+        (["geodesic-check", "64", "--memory-cap", "100"],
+         "trajectory needs 384 amplitudes, cap is 100"),
+        (["geodesic-check", "64", "--memory-cap", "384"],
+         "resampled path needs 9344 amplitudes, cap is 384"),
+        (["grover-trace", "64", "--marked", "0", "--steps", "10", "--memory-cap", "500"],
+         "trajectory needs 704 amplitudes, cap is 500"),
+        (["grover-trace", "1024", "--marked", "0", "--steps", "1", "--memory-cap", "5000"],
+         "resampled path needs 12288 amplitudes, cap is 5000"),
+    ])
+    def test_exits_3_before_allocating(self, args, message, capsys):
+        assert run(args) == 3
+        assert capsys.readouterr().err == f"resource error: {message}\n"
+
+    def test_shor_fits_where_the_pair_state_did_not(self, capsys):
+        # q = 256 fits, q * N = 3840 would not
+        assert run(["factor", "15", "--method", "shor", "--seed", "1",
+                    "--memory-cap", "300"]) == 0
+        assert capsys.readouterr().out.startswith("15 = 3 x 5")
+
+
 class TestFactorModuli:
     def test_prime_power_reports_the_prime(self, capsys):
         assert run(["factor", "81", "--method", "shor", "--seed", "1"]) == 2
@@ -281,7 +310,14 @@ class TestFactorModuli:
 
     def test_modulus_beyond_float_range_is_a_usage_error(self, capsys):
         assert run(["factor", str(3 * 7**500), "--method", "shor", "--seed", "1"]) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        assert capsys.readouterr().err == (
+            "error: modulus of 1406 bits is beyond the simulator's signed "
+            "64-bit range (N < 2^63)\n")
+
+    @pytest.mark.parametrize("method", ["shor", "grover-adiabatic"])
+    def test_modulus_beyond_int64_is_a_usage_error(self, method, capsys):
+        assert run(["factor", str(2**63 + 1), "--method", method, "--seed", "1"]) == 2
+        assert "signed 64-bit range" in capsys.readouterr().err
 
 
 def file_mode(path):

@@ -23,7 +23,9 @@ from qgeodesic import (
     factor,
     grover_period,
     marked_arguments,
+    measure_register,
     order_bruteforce,
+    qft,
     shor_period,
     shor_project,
     shor_sample,
@@ -31,6 +33,7 @@ from qgeodesic import (
 from qgeodesic.period import (
     _amplified_state,
     _integer_root,
+    _modexp_table,
     _period_from_samples,
     _prime_power_base,
     _verified_minimal_period,
@@ -41,6 +44,9 @@ FACTORABLE = [15, 21, 33, 35, 39, 45]  # odd composite non-prime-powers <= 50
 
 def valid_bases(n):
     return [y for y in range(2, n) if math.gcd(y, n) == 1]
+
+
+SWEEP = [(n, y) for n in FACTORABLE for y in valid_bases(n)]
 
 
 class TestOrderBruteforce:
@@ -146,6 +152,52 @@ class TestShorProject:
         assert np.array_equal(support, np.arange(0, 256, 4))
         assert support.size == 64
         assert np.allclose(collapsed.as_matrix()[support, 1], 0.125, atol=1e-12)
+
+
+def dense_shor_sample(inst, rng):
+    """The reference chain on the full q x N pair state."""
+    l, collapsed = shor_project(build_register(inst), rng)
+    c, _ = measure_register(qft(collapsed, register=0), 0, rng)
+    return l, c
+
+
+def assert_same_draws(n, y, seed):
+    inst = PeriodInstance(n, y)
+    fast, dense = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(2):  # consecutive draws share one generator
+        assert shor_sample(inst, fast) == dense_shor_sample(inst, dense)
+
+
+class TestModexpTable:
+    @pytest.mark.parametrize("n,y", SWEEP + [(91, 3), (143, 2), (221, 7), (323, 5)])
+    def test_matches_builtin_pow(self, n, y):
+        inst = PeriodInstance(n, y)
+        table = _modexp_table(inst)
+        assert table.dtype == np.int64
+        assert table.tolist() == [pow(y, a, n) for a in range(inst.register_size)]
+
+
+class TestShorSampleMatchesDense:
+    @pytest.mark.parametrize("n", FACTORABLE)
+    def test_seeded_draws_over_sweep(self, n):
+        for y in valid_bases(n):
+            for seed in range(5):
+                assert_same_draws(n, y, seed)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(SWEEP), st.integers(0, 2**63 - 1))
+    def test_seeded_draws_property(self, case, seed):
+        assert_same_draws(*case, seed)
+
+    def test_needs_q_amplitudes_not_q_times_n(self):
+        inst = PeriodInstance(15, 2)
+        q = inst.register_size
+        l, c = shor_sample(inst, np.random.default_rng(0), memory_cap=q)
+        assert l in (1, 2, 4, 8) and c % 64 == 0
+        with pytest.raises(ResourceLimitError):
+            shor_sample(inst, np.random.default_rng(0), memory_cap=q - 1)
+        with pytest.raises(ResourceLimitError):
+            build_register(inst, memory_cap=q)
 
 
 class TestContinuedFractions:
