@@ -27,20 +27,19 @@ import numpy as np
 
 from .geometry import (
     GeodesicState,
+    _residuals,
     action,
     fisher_discrete,
     fubini_study_distance,
-    geodesic_residual_profile,
     integrate_geodesic,
 )
 from .grover import (
     GroverInstance,
     amplification_path,
     amplification_samples,
-    analytic_path,
-    analytic_trajectory,
+    class_path,
     phi_of_step,
-    run_grover,
+    recursion_trajectory,
 )
 from .period import (
     DEFAULT_MEMORY_CAP,
@@ -50,7 +49,7 @@ from .period import (
     compare_methods,
     factor,
 )
-from .states import ResourceLimitError, basis_state, new_uniform, require_amplitudes
+from .states import ResourceLimitError, StateVector, basis_state, require_amplitudes
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -149,21 +148,22 @@ def cmd_grover_trace(n_items: int, marked: list[int], steps: int, config: RunCon
         raise ValueError(f"steps must be >= 0, got {steps}")
     require_amplitudes(n_items, config.memory_cap, "statevector")
     inst = GroverInstance(n_items, frozenset(marked))
-    require_amplitudes((steps + 1) * n_items, config.memory_cap, "trajectory")
-    path = run_grover(inst, steps)
-    mask = inst.marked_mask()
-    p_marked = path.probs[:, mask].sum(axis=1)
-    p_unmarked = path.probs[:, ~mask].sum(axis=1)
+    require_amplitudes((steps + 1) * 2, config.memory_cap, "trajectory")
+    sizes = inst.class_sizes
+    p_marked, p_unmarked = (sizes * recursion_trajectory(inst, steps) ** 2).T
 
-    grid = _fine_grid(path.phis[0], path.phis[-1], config.sampling_dphi)
-    require_amplitudes(grid.size * n_items, config.memory_cap, "resampled path")
-    fine = analytic_trajectory(inst, grid)
+    grid = _fine_grid(inst.theta, phi_of_step(inst, steps), config.sampling_dphi)
+    require_amplitudes(grid.size * 2, config.memory_cap, "resampled path")
+    fine = class_path(grid)
     fisher = fisher_discrete(fine).fisher
-    res_phis, res_max = geodesic_residual_profile(fine)
+    # Per-item residual: the class residual over sqrt(class size).
+    res_phis = fine.phis[2:-2]
+    res_max = np.max(np.abs(_residuals(fine, 2, fine.n_samples - 2) / np.sqrt(sizes)),
+                     axis=1)
     integrand = 0.5 * np.sqrt(np.maximum(fisher, 0.0))
     cumulative = np.concatenate(([0.0], np.cumsum(
         0.5 * (integrand[1:] + integrand[:-1]) * np.diff(fine.phis))))
-    action_origin = np.interp(path.phis[0], fine.phis, cumulative)
+    action_origin = np.interp(inst.theta, fine.phis, cumulative)
 
     rows = []
     for j in range(steps + 1):
@@ -187,49 +187,40 @@ def cmd_grover_trace(n_items: int, marked: list[int], steps: int, config: RunCon
     return EXIT_OK
 
 
-def _geodesic_initial_state(inst: GroverInstance) -> GeodesicState:
-    """Uniform-state initial data: position 1/sqrt(N), velocity from the
-    derivative of the closed-form amplitudes at phi = theta."""
-    n, m = inst.n_items, inst.n_marked
-    x = np.full(n, 1.0 / np.sqrt(n))
-    v = np.full(n, -np.sin(inst.theta) / np.sqrt(n - m))
-    v[inst.marked_mask()] = np.cos(inst.theta) / np.sqrt(m)
-    return GeodesicState(x, v, inst.theta)
-
-
 def cmd_geodesic_check(n_items: int, config: RunConfig) -> int:
-    """Integrate the oscillator reduction and compare it against the
-    analytic path and the simulated trajectory; write a JSON report."""
+    """Integrate the oscillator reduction on the two class coordinates and
+    compare it against the analytic path and the recursion; write a JSON
+    report."""
     require_amplitudes(n_items, config.memory_cap, "statevector")
     inst = GroverInstance(n_items, frozenset({0}))
     theta = inst.theta
     dphi = config.sampling_dphi
+    # The trajectory, 2 (last_step + 1) <= N cells, fits wherever N does.
     last_step = max(0, int(np.floor((np.pi / (2 * theta) - 1) / 2 + 1e-12)))
-    require_amplitudes((last_step + 1) * n_items, config.memory_cap, "trajectory")
-    require_amplitudes(amplification_samples(inst, dphi) * n_items, config.memory_cap,
+    require_amplitudes(amplification_samples(inst, dphi) * 2, config.memory_cap,
                        "resampled path")
-    sim = run_grover(inst, last_step)
+    sim = recursion_trajectory(inst, last_step) ** 2
 
-    targets = [(phi_of_step(inst, j), j) for j in range(1, last_step + 1)]
-    if not targets or targets[-1][0] < np.pi / 2 - 1e-12:
+    targets = [(phi_of_step(inst, j), j) for j in range(last_step + 1)]
+    if targets[-1][0] < np.pi / 2 - 1e-12:
         targets.append((np.pi / 2, None))
-
-    state = _geodesic_initial_state(inst)
-    dev_sim = float(np.max(np.abs(state.x**2 - sim.probs[0])))
-    dev_analytic = float(np.max(np.abs(state.x**2 - analytic_path(inst, theta))))
-    for phi_target, j in targets:
-        segment = integrate_geodesic(state, 4.0, phi_target, GEODESIC_DT)
-        state = segment[-1]
-        probs = state.x**2
-        dev_analytic = max(dev_analytic, float(np.max(np.abs(
-            probs - analytic_path(inst, min(phi_target, np.pi / 2))))))
+    # Per-item probabilities are class probabilities over class size.
+    sizes = inst.class_sizes
+    analytic = class_path([min(phi, np.pi / 2) for phi, _ in targets]).probs / sizes
+    uniform = np.sqrt(sizes) / np.sqrt(n_items)
+    state = GeodesicState(uniform, np.array([np.cos(theta), -np.sin(theta)]), theta)
+    dev_sim = dev_analytic = 0.0
+    for (phi_target, j), expected in zip(targets, analytic):
+        state = integrate_geodesic(state, 4.0, phi_target, GEODESIC_DT)[-1]
+        probs = state.x**2 / sizes
+        dev_analytic = max(dev_analytic, float(np.max(np.abs(probs - expected))))
         if j is not None:
-            dev_sim = max(dev_sim, float(np.max(np.abs(probs - sim.probs[j]))))
+            dev_sim = max(dev_sim, float(np.max(np.abs(probs - sim[j]))))
 
     fine = amplification_path(inst, dphi)
     fisher = fisher_discrete(fine).fisher
     act = action(fine, theta, np.pi / 2)
-    dist = fubini_study_distance(new_uniform(n_items), basis_state(n_items, 0))
+    dist = fubini_study_distance(StateVector(uniform), basis_state(2, 0))
 
     tol_integrator = 1e-6
     tol_action = 5.0 * dphi * dphi

@@ -1,8 +1,9 @@
 """Grover amplitude amplification three ways.
 
-The same search dynamics is available as a closed-form two-variable
-recursion, as an analytic one-parameter family of distributions, and as a
-full statevector simulation.  The discrete step index j embeds into the
+The state stays uniform within the marked and the unmarked class, so a
+two-amplitude recursion and a two-class closed-form path carry all the search
+data; the per-item closed form and the full statevector simulation are kept
+as the dense reference.  The discrete step index j embeds into the
 continuous parameter as phi_j = (2j + 1) * theta, which places the uniform
 starting state at phi = theta and the solution at phi = pi/2.
 """
@@ -43,6 +44,11 @@ class GroverInstance:
     def n_marked(self) -> int:
         return len(self.marked)
 
+    @property
+    def class_sizes(self) -> np.ndarray:
+        """Item counts (M, N - M) of the marked and unmarked classes."""
+        return np.array([self.n_marked, self.n_items - self.n_marked])
+
     def marked_mask(self) -> np.ndarray:
         mask = np.zeros(self.n_items, dtype=bool)
         mask[sorted(self.marked)] = True
@@ -58,22 +64,26 @@ class RecursionState:
     step: int = 0
 
 
-def recursion_step(s: RecursionState, n_items: int) -> RecursionState:
-    """One Grover iteration of the single-marked-item amplitude recursion.
+def recursion_step(s: RecursionState, n_items: int, n_marked: int = 1) -> RecursionState:
+    """One Grover iteration of the two-amplitude recursion over M marked items.
 
-    k' = (N-2)/N k + 2(N-1)/N l,  l' = -2/N k + (N-2)/N l.
+    k' = (N-2M)/N k + 2(N-M)/N l,  l' = -2M/N k + (N-2M)/N l.
     """
-    n = n_items
-    k = (n - 2) / n * s.k + 2 * (n - 1) / n * s.l
-    l = -2 / n * s.k + (n - 2) / n * s.l
+    n, m = n_items, n_marked
+    k = (n - 2 * m) / n * s.k + 2 * (n - m) / n * s.l
+    l = -2 * m / n * s.k + (n - 2 * m) / n * s.l
     return RecursionState(k, l, s.step + 1)
 
 
-def _analytic_probs(inst: GroverInstance, phi: float) -> np.ndarray:
-    n, m = inst.n_items, inst.n_marked
-    probs = np.full(n, np.cos(phi) ** 2 / (n - m))
-    probs[inst.marked_mask()] = np.sin(phi) ** 2 / m
-    return probs
+def recursion_trajectory(inst: GroverInstance, steps: int) -> np.ndarray:
+    """Per-item amplitudes (k_j, l_j) of the marked and unmarked items for
+    j = 0..steps, from the uniform state; shape (steps + 1, 2)."""
+    if steps < 0:
+        raise ValueError(f"steps must be >= 0, got {steps}")
+    states = [RecursionState(1.0 / np.sqrt(inst.n_items), 1.0 / np.sqrt(inst.n_items))]
+    for _ in range(steps):
+        states.append(recursion_step(states[-1], inst.n_items, inst.n_marked))
+    return np.array([(s.k, s.l) for s in states])
 
 
 def analytic_path(inst: GroverInstance, phi: float) -> np.ndarray:
@@ -81,7 +91,7 @@ def analytic_path(inst: GroverInstance, phi: float) -> np.ndarray:
     within the marked and unmarked classes.  Valid for phi in [0, pi/2]."""
     if not 0.0 <= phi <= np.pi / 2:
         raise ValueError(f"phi must lie in [0, pi/2], got {phi}")
-    return _analytic_probs(inst, phi)
+    return analytic_trajectory(inst, np.array([phi])).probs[0]
 
 
 def analytic_trajectory(inst: GroverInstance, phis: np.ndarray) -> ProbabilityPath:
@@ -99,16 +109,25 @@ def analytic_trajectory(inst: GroverInstance, phis: np.ndarray) -> ProbabilityPa
     return ProbabilityPath(column[:, 0], amps**2, amps)
 
 
+def class_path(phis: np.ndarray) -> ProbabilityPath:
+    """The closed-form path on its two classes: amplitudes (sin phi, cos phi)
+    of the marked and unmarked class states.  An item's amplitude is its
+    class amplitude divided by sqrt(class size)."""
+    phis = np.asarray(phis, dtype=np.float64)
+    amps = np.stack([np.sin(phis), np.cos(phis)], axis=1)
+    return ProbabilityPath(phis, amps**2, amps)
+
+
 def amplification_samples(inst: GroverInstance, dphi: float) -> int:
     """Row count of :func:`amplification_path`: step <= dphi, at least 5."""
     return max(5, int(np.ceil((np.pi / 2 - inst.theta) / dphi)) + 1)
 
 
 def amplification_path(inst: GroverInstance, dphi: float) -> ProbabilityPath:
-    """The closed-form path from the uniform state at phi = theta to the
-    solution at pi/2, resampled at step <= dphi (at least 5 samples)."""
-    return analytic_trajectory(
-        inst, np.linspace(inst.theta, np.pi / 2, amplification_samples(inst, dphi)))
+    """The class path from the uniform state at phi = theta to the solution
+    at pi/2, resampled at step <= dphi (at least 5 samples)."""
+    return class_path(
+        np.linspace(inst.theta, np.pi / 2, amplification_samples(inst, dphi)))
 
 
 def phi_of_step(inst: GroverInstance, step: int) -> float:

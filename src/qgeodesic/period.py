@@ -28,10 +28,10 @@ from .grover import (
     GroverInstance,
     amplification_path,
     amplification_samples,
-    grover_step,
     optimal_iterations,
+    recursion_trajectory,
 )
-from .states import StateVector, measure_register, new_uniform, qft, require_amplitudes
+from .states import StateVector, measure_register, qft, require_amplitudes
 
 DEFAULT_MEMORY_CAP = 1 << 26  # complex amplitudes
 
@@ -278,16 +278,14 @@ def _search_instance(inst: PeriodInstance) -> GroverInstance:
 
 
 def _amplified_state(inst: PeriodInstance, memory_cap: int) -> tuple[StateVector, int, int]:
-    """Run the search loop over the argument register; returns the state
-    just before readout, the iteration count, and the marked count."""
+    """Run the search loop over the argument register on its two amplitudes
+    and spread them over the register; returns the state just before
+    readout, the iteration count, and the marked count."""
     require_amplitudes(inst.register_size, memory_cap, "register")
     search = _search_instance(inst)
     steps = optimal_iterations(search)
-    mask = search.marked_mask()
-    state = new_uniform(search.n_items)
-    for _ in range(steps):
-        state = grover_step(state, mask)
-    return state, steps, search.n_marked
+    k, l = recursion_trajectory(search, steps)[-1]
+    return StateVector(np.where(search.marked_mask(), k, l)), steps, search.n_marked
 
 
 def _period_from_samples(y: int, n: int, outcomes: list[int]) -> int | None:
@@ -519,8 +517,8 @@ def _fisher_trace(
     """Fisher values along the amplification path, from the uniform state at
     phi = theta to the amplified state at pi/2, resampled at step dphi."""
     search = _search_instance(inst)
-    require_amplitudes(amplification_samples(search, dphi) * search.n_items,
-                       memory_cap, "resampled path")
+    require_amplitudes(amplification_samples(search, dphi) * 2, memory_cap,
+                       "resampled path")
     trace = fisher_discrete(amplification_path(search, dphi))
     return trace.phi.tolist(), trace.fisher.tolist()
 

@@ -182,20 +182,11 @@ def measure_register(
     marginal = marginal / marginal.sum()
     outcome = int(rng.choice(marginal.size, p=marginal))
 
-    if state.is_pair:
-        mat = state.as_matrix().copy()
-        if register == 0:
-            keep = mat[outcome, :].copy()
-            mat[:] = 0.0
-            mat[outcome, :] = keep
-        else:
-            keep = mat[:, outcome].copy()
-            mat[:] = 0.0
-            mat[:, outcome] = keep
-        amps = mat.ravel()
-    else:
-        amps = np.zeros_like(state.amplitudes)
-        amps[outcome] = state.amplitudes[outcome]
+    # Copy out only the kept row, column or entry.
+    kept = (slice(None),) * register + (outcome,)
+    amps = np.zeros(state.shape, dtype=np.complex128)
+    amps[kept] = state.amplitudes.reshape(state.shape)[kept]
+    amps = amps.ravel()
 
     norm = np.sqrt(np.sum(np.abs(amps) ** 2))
     if norm <= 0.0:

@@ -261,7 +261,7 @@ class TestResourceErrors:
     def test_memory_error_exits_3(self, monkeypatch, capsys):
         def exhausted(*args, **kwargs):
             raise MemoryError("Unable to allocate 430. GiB")
-        monkeypatch.setattr(cli, "run_grover", exhausted)
+        monkeypatch.setattr(cli, "recursion_trajectory", exhausted)
         assert run(["geodesic-check", "16"]) == 3
         assert capsys.readouterr().err == "resource error: Unable to allocate 430. GiB\n"
         assert run(["grover-trace", "16", "--marked", "0", "--steps", "2"]) == 3
@@ -269,7 +269,7 @@ class TestResourceErrors:
     def test_bare_memory_error_is_named(self, monkeypatch, capsys):
         def exhausted(*args, **kwargs):
             raise MemoryError
-        monkeypatch.setattr(cli, "run_grover", exhausted)
+        monkeypatch.setattr(cli, "recursion_trajectory", exhausted)
         assert run(["geodesic-check", "16"]) == 3
         assert capsys.readouterr().err == "resource error: out of memory\n"
 
@@ -281,16 +281,14 @@ class TestAllocationCaps:
     @pytest.mark.parametrize("args,message", [
         (["compare", "15", "2", "--seed", "1", "--memory-cap", "64"],
          "register needs 256 amplitudes, cap is 64"),
-        (["compare", "15", "2", "--seed", "1", "--memory-cap", "4000"],
-         "resampled path needs 27136 amplitudes, cap is 4000"),
+        (["compare", "15", "2", "--seed", "1", "--dphi", "0.0001", "--memory-cap", "4000"],
+         "resampled path needs 20946 amplitudes, cap is 4000"),
         (["geodesic-check", "64", "--memory-cap", "100"],
-         "trajectory needs 384 amplitudes, cap is 100"),
-        (["geodesic-check", "64", "--memory-cap", "384"],
-         "resampled path needs 9344 amplitudes, cap is 384"),
+         "resampled path needs 292 amplitudes, cap is 100"),
         (["grover-trace", "64", "--marked", "0", "--steps", "10", "--memory-cap", "500"],
-         "trajectory needs 704 amplitudes, cap is 500"),
-        (["grover-trace", "1024", "--marked", "0", "--steps", "1", "--memory-cap", "5000"],
-         "resampled path needs 12288 amplitudes, cap is 5000"),
+         "resampled path needs 512 amplitudes, cap is 500"),
+        (["grover-trace", "64", "--marked", "0", "--steps", "300", "--memory-cap", "500"],
+         "trajectory needs 602 amplitudes, cap is 500"),
     ])
     def test_exits_3_before_allocating(self, args, message, capsys):
         assert run(args) == 3
@@ -301,6 +299,16 @@ class TestAllocationCaps:
         assert run(["factor", "15", "--method", "shor", "--seed", "1",
                     "--memory-cap", "300"]) == 0
         assert capsys.readouterr().out.startswith("15 = 3 x 5")
+
+    @pytest.mark.parametrize("args", [
+        ["geodesic-check", "64", "--memory-cap", "384"],
+        ["grover-trace", "1024", "--marked", "0", "--steps", "1", "--memory-cap", "5000"],
+        ["compare", "15", "2", "--seed", "1", "--memory-cap", "4000"],
+    ])
+    def test_class_paths_fit_where_item_paths_did_not(self, args, capsys):
+        # trajectories and resampled paths are charged 2 cells per row, not N or q
+        assert run(args) == 0
+        assert capsys.readouterr().err == ""
 
 
 class TestFactorModuli:

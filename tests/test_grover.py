@@ -1,5 +1,9 @@
 """Search dynamics: recursion, analytic path, simulation, and their agreement."""
 
+import contextlib
+import io
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +20,16 @@ from qgeodesic import (
     recursion_step,
     run_grover,
 )
+from qgeodesic import cli
+from qgeodesic.geometry import (
+    GeodesicState,
+    _residuals,
+    action,
+    fisher_discrete,
+    geodesic_residual_profile,
+    integrate_geodesic,
+)
+from qgeodesic.grover import amplification_path, class_path, recursion_trajectory
 
 
 def single_marked(n):
@@ -227,3 +241,122 @@ class TestAnalyticTrajectory:
             expected = np.full(n, np.cos(phi) / np.sqrt(n - len(marked)))
             expected[sorted(marked)] = np.sin(phi) / np.sqrt(len(marked))
             assert np.array_equal(row, expected)
+
+
+@st.composite
+def search_runs(draw, max_items=128):
+    """Random (N, marked set, steps) with steps running up to three times
+    the optimal count, well past phi = pi/2."""
+    n = draw(st.integers(2, max_items))
+    marked = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n - 1))
+    inst = GroverInstance(n, frozenset(marked))
+    return inst, draw(st.integers(0, 3 * optimal_iterations(inst) + 2))
+
+
+def item_residual_max(path, inst):
+    """Per-item residual maxima from the class path, as grover-trace takes them."""
+    residuals = _residuals(path, 2, path.n_samples - 2) / np.sqrt(inst.class_sizes)
+    return np.max(np.abs(residuals), axis=1)
+
+
+class TestClassReduction:
+    """The two-class paths against the dense per-item reference."""
+
+    def test_recursion_step_single_marked_arithmetic(self):
+        for n in (2, 3, 4, 7, 64, 1000, 2**20):
+            s = RecursionState(0.3, -0.7, 5)
+            expected = RecursionState((n - 2) / n * s.k + 2 * (n - 1) / n * s.l,
+                                      -2 / n * s.k + (n - 2) / n * s.l, 6)
+            assert recursion_step(s, n) == expected
+            assert recursion_step(s, n, 1) == expected
+
+    def test_recursion_step_many_marked(self):
+        n, m = 256, 64  # theta = pi/6: one step lands on phi = pi/2
+        s = recursion_step(RecursionState(1 / 16, 1 / 16), n, m)
+        assert abs(m * s.k**2 - 1.0) < 1e-12
+        assert abs(s.l) < 1e-12
+
+    def test_negative_steps_rejected(self):
+        with pytest.raises(ValueError):
+            recursion_trajectory(single_marked(8), -1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(search_runs())
+    def test_trajectory_matches_simulation(self, run):
+        inst, steps = run
+        traj = recursion_trajectory(inst, steps)
+        sim = run_grover(inst, steps, record=True)
+        mask = inst.marked_mask()
+        assert traj.shape == (steps + 1, 2)
+        assert np.max(np.abs(inst.n_marked * traj[:, 0] ** 2
+                             - sim.probs[:, mask].sum(axis=1))) < 1e-12
+        assert np.max(np.abs((inst.n_items - inst.n_marked) * traj[:, 1] ** 2
+                             - sim.probs[:, ~mask].sum(axis=1))) < 1e-12
+        expected = np.where(mask, traj[:, :1], traj[:, 1:])
+        assert np.max(np.abs(sim.amps - expected)) < 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(search_runs(), st.sampled_from([0.1, 0.03, 0.01]))
+    def test_geometry_matches_item_path(self, run, dphi):
+        """On the grover-trace grid from theta to phi_steps."""
+        inst, steps = run
+        phis = cli._fine_grid(inst.theta, phi_of_step(inst, steps), dphi)
+        reduced, dense = class_path(phis), analytic_trajectory(inst, phis)
+        assert np.max(np.abs(fisher_discrete(reduced).fisher
+                             - fisher_discrete(dense).fisher)) < 1e-12
+        assert abs(action(reduced, phis[1], phis[-2])
+                   - action(dense, phis[1], phis[-2])) < 1e-12
+        _, profile = geodesic_residual_profile(dense)
+        assert np.max(np.abs(item_residual_max(reduced, inst) - profile)) < 1e-10
+
+    def test_amplification_path_is_the_class_path(self):
+        inst = GroverInstance(64, frozenset({1, 9}))
+        path = amplification_path(inst, 0.01)
+        assert path.dim == 2
+        assert path.phis[0] == inst.theta and path.phis[-1] == np.pi / 2
+        assert np.array_equal(path.amps, np.stack(
+            [np.sin(path.phis), np.cos(path.phis)], axis=1))
+
+    @settings(max_examples=30, deadline=None)
+    @given(search_runs(max_items=64))
+    def test_oscillator_on_classes_matches_items(self, run):
+        inst, steps = run
+        sizes = inst.class_sizes
+        theta, mask = inst.theta, inst.marked_mask()
+        v = np.where(mask, np.cos(theta) / np.sqrt(sizes[0]),
+                     -np.sin(theta) / np.sqrt(sizes[1]))
+        items = GeodesicState(np.full(inst.n_items, 1 / np.sqrt(inst.n_items)), v, theta)
+        classes = GeodesicState(np.sqrt(sizes) / np.sqrt(inst.n_items),
+                                np.array([np.cos(theta), -np.sin(theta)]), theta)
+        end = phi_of_step(inst, steps) + 0.1
+        dense = integrate_geodesic(items, 4.0, end, 5e-3)[-1].x
+        reduced = integrate_geodesic(classes, 4.0, end, 5e-3)[-1].x / np.sqrt(sizes)
+        assert np.max(np.abs(dense - np.where(mask, reduced[0], reduced[1]))) < 1e-12
+
+    @settings(max_examples=25, deadline=None)
+    @given(search_runs(max_items=64))
+    def test_grover_trace_matches_dense_reference(self, run):
+        """Every column of grover-trace against the parent's N-wide pipeline:
+        run_grover class sums, Fisher and residual profile of
+        analytic_trajectory on the same fine grid."""
+        inst, steps = run
+        marked = ",".join(str(i) for i in sorted(inst.marked))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(["grover-trace", str(inst.n_items), "--marked", marked,
+                             "--steps", str(steps), "--format", "json"]) == 0
+        rows = json.loads(out.getvalue())["rows"]
+
+        sim = run_grover(inst, steps)
+        mask = inst.marked_mask()
+        fine = analytic_trajectory(inst, cli._fine_grid(sim.phis[0], sim.phis[-1], 0.01))
+        fisher = fisher_discrete(fine).fisher
+        res_phis, res_max = geodesic_residual_profile(fine)
+        for j, row in enumerate(rows):
+            assert row["step"] == j and row["phi"] == sim.phis[j]
+            assert abs(row["p_marked"] - sim.probs[j, mask].sum()) < 1e-12
+            assert abs(row["p_unmarked"] - sim.probs[j, ~mask].sum()) < 1e-12
+            assert abs(row["fisher_estimate"]
+                       - np.interp(sim.phis[j], fine.phis, fisher)) < 1e-12
+            assert abs(row["geodesic_residual_max"]
+                       - np.interp(sim.phis[j], res_phis, res_max)) < 1e-10

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from qgeodesic import (
     GROVER_ADIABATIC,
+    GroverInstance,
     SHOR,
     PeriodInstance,
     ResourceLimitError,
@@ -22,14 +23,18 @@ from qgeodesic import (
     default_register_size,
     factor,
     grover_period,
+    grover_step,
     marked_arguments,
     measure_register,
+    new_uniform,
+    optimal_iterations,
     order_bruteforce,
     qft,
     shor_period,
     shor_project,
     shor_sample,
 )
+from qgeodesic import period
 from qgeodesic.period import (
     _amplified_state,
     _integer_root,
@@ -239,6 +244,54 @@ class TestContinuedFractions:
             continued_fraction_denominator(10, 256, 0)
 
 
+def best_approximation_denominators(c, q, bound):
+    """Denominators d <= bound with ||d c/q|| below that of every smaller d:
+    the best approximations of the second kind, which are exactly the
+    convergent denominators (Lagrange)."""
+    found, best = [], None
+    for d in range(1, bound + 1):
+        distance = min(d * c % q, q - d * c % q)  # q * ||d c/q||
+        if best is None or distance < best:
+            found.append(d)
+            best = distance
+        if distance == 0:
+            break
+    return found
+
+
+class TestNumberTheoryProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 4096).flatmap(lambda q: st.tuples(
+        st.integers(0, q - 1), st.just(q), st.integers(1, 2 * q))))
+    def test_denominator_is_largest_best_approximation(self, case):
+        c, q, bound = case
+        expected = max(best_approximation_denominators(c, q, bound)) if c else None
+        assert continued_fraction_denominator(c, q, bound) == expected
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.integers(-10, 10**6))
+    def test_classify_modulus_partition(self, n):
+        factors = {}
+        m, d = n, 2
+        while n >= 2 and d * d <= m:
+            while m % d == 0:
+                factors[d] = factors.get(d, 0) + 1
+                m //= d
+            d += 1
+        if n >= 2 and m > 1:
+            factors[m] = factors.get(m, 0) + 1
+        classes = {
+            "too-small": n < 3,
+            "even": n >= 3 and n % 2 == 0,
+            "prime": n >= 3 and n % 2 == 1 and factors == {n: 1},
+            "prime-power": n >= 3 and n % 2 == 1 and len(factors) == 1
+                           and max(factors.values()) >= 2,
+            "ok": n >= 3 and n % 2 == 1 and len(factors) >= 2,
+        }
+        assert sum(classes.values()) == 1
+        assert classes[classify_modulus(n)]
+
+
 class TestOraclePredicate:
     def test_n15_marked_set(self):
         inst = PeriodInstance(15, 2)
@@ -373,6 +426,39 @@ class TestBothMethodsAgreeWithBruteForce:
             inst = PeriodInstance(15, y)
             assert shor_period(inst, np.random.default_rng(y)).period == expected
             assert grover_period(inst, np.random.default_rng(y)).period == expected
+
+
+def dense_amplified_state(inst, memory_cap):
+    """The statevector search loop over the whole argument register."""
+    search = GroverInstance(inst.register_size, frozenset(marked_arguments(inst).tolist()))
+    steps = optimal_iterations(search)
+    state = new_uniform(search.n_items)
+    for _ in range(steps):
+        state = grover_step(state, search.marked_mask())
+    return state, steps, search.n_marked
+
+
+class TestAmplifiedStateMatchesDense:
+    """The two-amplitude amplified state against the statevector loop, over
+    every valid (N, y) with N <= 50 and seeds 0-4.  Powers of two have no
+    register size strictly inside (N^2, 2 N^2)."""
+
+    @pytest.mark.parametrize("n", [n for n in range(3, 51) if n & (n - 1)])
+    def test_seeded_readouts(self, n, monkeypatch):
+        for y in valid_bases(n):
+            inst = PeriodInstance(n, y)
+            state, steps, tau = _amplified_state(inst, 1 << 26)
+            reference = dense_amplified_state(inst, 1 << 26)
+            assert (steps, tau) == reference[1:]
+            assert np.max(np.abs(state.amplitudes - reference[0].amplitudes)) < 1e-15
+            for seed in range(5):
+                reduced = grover_period(inst, np.random.default_rng(seed))
+                with monkeypatch.context() as patch:
+                    patch.setattr(period, "_amplified_state", lambda *_: reference)
+                    assert grover_period(inst, np.random.default_rng(seed)) == reduced
+                fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+                assert [measure_register(state, 0, fast)[0] for _ in range(3)] == \
+                    [measure_register(reference[0], 0, slow)[0] for _ in range(3)]
 
 
 class TestFactor:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qgeodesic import (
     StateVector,
@@ -21,6 +23,23 @@ def random_state(dim, rng, complex_amps=True):
     amps = rng.normal(size=dim) + (1j * rng.normal(size=dim) if complex_amps else 0.0)
     amps = amps / np.linalg.norm(amps)
     return StateVector(amps, (dim,))
+
+
+@st.composite
+def register_states(draw, count=1):
+    """``count`` random states of one random shape, single register or pair,
+    with a random share of the amplitudes set to zero."""
+    shape = draw(st.one_of(st.tuples(st.integers(1, 64)),
+                           st.tuples(st.integers(1, 16), st.integers(1, 16))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sparsity = draw(st.floats(0.0, 0.9))
+    states = []
+    for _ in range(count):
+        amps = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        amps[rng.random(shape) < sparsity] = 0.0
+        amps.flat[rng.integers(amps.size)] = 1.0  # never all zero
+        states.append(StateVector(amps.ravel() / np.linalg.norm(amps), shape))
+    return states
 
 
 class TestConstruction:
@@ -151,8 +170,61 @@ class TestQFT:
         with pytest.raises(ValueError):
             qft(new_uniform(4), register=1)
 
+    @settings(max_examples=150, deadline=None)
+    @given(register_states(count=2), st.integers(0, 1))
+    def test_unitary_and_round_trip(self, states, register):
+        a, b = states
+        register = register if a.is_pair else 0
+        fa, fb = qft(a, register), qft(b, register)
+        assert fa.shape == a.shape
+        assert abs(np.vdot(fa.amplitudes, fb.amplitudes)
+                   - np.vdot(a.amplitudes, b.amplitudes)) < 1e-12
+        for state, forward in ((a, fa), (b, fb)):
+            assert abs(forward.norm() - 1.0) < 1e-12
+            back = qft(forward, register, inverse=True)
+            assert np.max(np.abs(back.amplitudes - state.amplitudes)) < 1e-12
+            there = qft(state, register, inverse=True)
+            assert np.max(np.abs(qft(there, register).amplitudes
+                                 - state.amplitudes)) < 1e-12
+
+    @pytest.mark.parametrize("shape,register", [((8,), 0), ((4, 3), 0), ((4, 3), 1)])
+    def test_matrix_is_unitary(self, shape, register):
+        dim = int(np.prod(shape))
+        columns = [qft(basis_state(dim, i, shape), register).amplitudes for i in range(dim)]
+        matrix = np.stack(columns, axis=1)
+        assert np.allclose(matrix.conj().T @ matrix, np.eye(dim), atol=1e-12)
+
+
+def copied_projection(state, register, outcome):
+    """Copy the whole state, zero it, write the kept slice back, renormalise."""
+    mat = state.amplitudes.reshape(state.shape).copy()
+    kept = (slice(None),) * register + (outcome,)
+    keep = mat[kept].copy()
+    mat[:] = 0.0
+    mat[kept] = keep
+    amps = mat.ravel()
+    return amps / np.sqrt(np.sum(np.abs(amps) ** 2))
+
 
 class TestMeasureRegister:
+    @settings(max_examples=200, deadline=None)
+    @given(register_states(), st.integers(0, 1), st.integers(0, 2**32 - 1))
+    def test_outcome_and_collapse(self, states, register, seed):
+        (state,) = states
+        register = register if state.is_pair else 0
+        outcome, collapsed = measure_register(state, register, np.random.default_rng(seed))
+        mat = state.amplitudes.reshape(state.shape)
+        marginal = np.sum(np.abs(mat) ** 2, axis=tuple(
+            axis for axis in range(mat.ndim) if axis != register))
+        assert marginal[outcome] > 0.0
+        assert collapsed.shape == state.shape
+        assert abs(collapsed.norm() - 1.0) < 1e-12
+        support = np.zeros(state.shape, dtype=bool)
+        support[(slice(None),) * register + (outcome,)] = True
+        assert not np.any(collapsed.amplitudes[~support.ravel()])
+        # bit-identical to the copy-and-zero projection
+        assert np.array_equal(collapsed.amplitudes,
+                              copied_projection(state, register, outcome))
     def test_register_state_marginal_and_collapse(self):
         # the two-register state for N=15, y=2, q=256
         inst = PeriodInstance(15, 2)
