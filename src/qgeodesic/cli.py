@@ -29,6 +29,7 @@ from .geometry import (
     GeodesicState,
     _residuals,
     action,
+    cumulative_action,
     fisher_discrete,
     fubini_study_distance,
     integrate_geodesic,
@@ -69,19 +70,17 @@ TRACE_COLUMNS = (
 class RunConfig:
     """Reproducibility knobs shared by the subcommands."""
 
-    seed: int | None = None
-    output_path: str | None = None
-    format: str = "csv"
-    sampling_dphi: float = 0.01
-    memory_cap: int = DEFAULT_MEMORY_CAP
-    budget: int = 16
-    samples: int = 3
+    seed: int | None
+    output_path: str | None
+    format: str
+    sampling_dphi: float
+    memory_cap: int
+    budget: int
+    samples: int
 
     def __post_init__(self):
         if not 0.0 < self.sampling_dphi <= 0.1:
             raise ValueError(f"dphi must lie in (0, 0.1], got {self.sampling_dphi}")
-        if self.format not in ("csv", "json"):
-            raise ValueError(f"format must be csv or json, got {self.format!r}")
         if self.memory_cap < 1:
             raise ValueError(f"memory cap must be positive, got {self.memory_cap}")
         if self.budget < 1:
@@ -160,9 +159,7 @@ def cmd_grover_trace(n_items: int, marked: list[int], steps: int, config: RunCon
     res_phis = fine.phis[2:-2]
     res_max = np.max(np.abs(_residuals(fine, 2, fine.n_samples - 2) / np.sqrt(sizes)),
                      axis=1)
-    integrand = 0.5 * np.sqrt(np.maximum(fisher, 0.0))
-    cumulative = np.concatenate(([0.0], np.cumsum(
-        0.5 * (integrand[1:] + integrand[:-1]) * np.diff(fine.phis))))
+    cumulative = cumulative_action(fine.phis, fisher)
     action_origin = np.interp(inst.theta, fine.phis, cumulative)
 
     rows = []

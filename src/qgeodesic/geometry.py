@@ -134,11 +134,20 @@ def fubini_study_distance(a: StateVector, b: StateVector) -> float:
     return float(np.arccos(np.clip(overlap, 0.0, 1.0)))
 
 
+def cumulative_action(phis: np.ndarray, fisher: np.ndarray) -> np.ndarray:
+    """Trapezoidal integral of sqrt(fisher)/2 from phis[0] to each sample;
+    negative Fisher estimates count as zero."""
+    integrand = 0.5 * np.sqrt(np.maximum(fisher, 0.0))
+    return np.concatenate(([0.0], np.cumsum(
+        0.5 * (integrand[1:] + integrand[:-1]) * np.diff(phis))))
+
+
 def action(path: ProbabilityPath, phi_from: float, phi_to: float) -> float:
     """Path-length action, the trapezoidal integral of sqrt(fisher)/2.
 
-    The integration bounds may fall between samples; the integrand is
-    linearly interpolated there.
+    The difference of :func:`cumulative_action` at the two bounds, each
+    linearly interpolated between samples: a bound inside a cell takes that
+    cell's share at the cell's trapezoid slope (its mean integrand).
     """
     _require_samples(path, 3)
     phis = path.phis
@@ -149,15 +158,9 @@ def action(path: ProbabilityPath, phi_from: float, phi_to: float) -> float:
     if phi_to == phi_from:
         return 0.0
     fisher, _ = _fisher_and_phase(path)
-    integrand = 0.5 * np.sqrt(np.maximum(fisher, 0.0))
-    inside = (phis > phi_from) & (phis < phi_to)
-    grid = np.concatenate(([phi_from], phis[inside], [phi_to]))
-    values = np.concatenate((
-        [np.interp(phi_from, phis, integrand)],
-        integrand[inside],
-        [np.interp(phi_to, phis, integrand)],
-    ))
-    return float(np.trapezoid(values, grid))
+    cumulative = cumulative_action(phis, fisher)
+    return float(np.interp(phi_to, phis, cumulative)
+                 - np.interp(phi_from, phis, cumulative))
 
 
 def _second_derivative(coords: np.ndarray, phis: np.ndarray) -> np.ndarray:
@@ -218,8 +221,9 @@ def integrate_geodesic(
 ) -> list[GeodesicState]:
     """Integrate the constant-Fisher oscillator xddot = -(fisher/4) x.
 
-    Classic fixed-step fourth-order Runge-Kutta; the final partial step is
-    shortened to land on phi_end.  Exact solution for comparison:
+    Classic fixed-step fourth-order Runge-Kutta, applied as the linear
+    propagator it reduces to here; the final partial step is shortened to
+    land on phi_end.  Exact solution for comparison:
     x(phi) = x0 cos(w dphi) + (xdot0 / w) sin(w dphi) with w = sqrt(F)/2.
     """
     if not np.isfinite(dt) or dt <= 0:
@@ -240,23 +244,27 @@ def integrate_geodesic(
 
     omega_sq = fisher_const / 4.0
 
-    def rk4(x, v, h):
-        k1x, k1v = v, -omega_sq * x
-        k2x, k2v = v + 0.5 * h * k1v, -omega_sq * (x + 0.5 * h * k1x)
-        k3x, k3v = v + 0.5 * h * k2v, -omega_sq * (x + 0.5 * h * k2x)
-        k4x, k4v = v + h * k3v, -omega_sq * (x + h * k3x)
-        return (x + h / 6.0 * (k1x + 2 * k2x + 2 * k3x + k4x),
-                v + h / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v))
+    def rk4(h):
+        """One RK4 step of length h.  For this linear system it is exactly
+        the degree-4 Taylor propagator, x' = x + (s v - a x) and
+        v' = v - (a v + omega_sq s x) with z = omega_sq h^2,
+        a = z/2 - z^2/24 and s = h (1 - z/6); the increment form avoids
+        multiplying by the rounded 1 - a on every step."""
+        z = omega_sq * h * h
+        a, s = z / 2.0 - z * z / 24.0, h * (1.0 - z / 6.0)
+        w = omega_sq * s
+        return lambda x, v: (x + (s * v - a * x), v - (a * v + w * x))
 
     span = phi_end - float(init.phi)
     n_full = int(np.floor(span / dt + 1e-9))
     remainder = span - n_full * dt
     states = [GeodesicState(x.copy(), v.copy(), float(init.phi))]
+    step = rk4(dt)
     for k in range(1, n_full + 1):
-        x, v = rk4(x, v, dt)
+        x, v = step(x, v)
         states.append(GeodesicState(x, v, float(init.phi) + k * dt))
     if remainder > 1e-12 * max(1.0, span):
-        x, v = rk4(x, v, remainder)
+        x, v = rk4(remainder)(x, v)
         states.append(GeodesicState(x, v, float(phi_end)))
     return states
 

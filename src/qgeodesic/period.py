@@ -19,8 +19,9 @@ Both return verified minimal periods along with operation counters.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .geometry import fisher_discrete
@@ -87,6 +88,21 @@ class PeriodInstance:
                 f"register size {q} outside ({n * n}, {2 * n * n})")
         object.__setattr__(self, "register_size", q)
 
+    @functools.cached_property
+    def table(self) -> np.ndarray:
+        """f(a) = y^a mod N for a in [0, q), read-only, built on first use by
+        doubling: entries [s, 2s) are entries [0, s) times y^s.  Products
+        stay below N^2 < q, within int64."""
+        q, n = self.register_size, self.modulus
+        table = np.empty(q, dtype=np.int64)
+        table[0] = 1
+        size = 1
+        while size < q:
+            table[size:2 * size] = table[:size] * pow(self.base, size, n) % n
+            size *= 2
+        table.flags.writeable = False
+        return table
+
 
 @dataclass(frozen=True)
 class PeriodResult:
@@ -100,19 +116,6 @@ class PeriodResult:
     succeeded: bool
 
 
-def _modexp_table(inst: PeriodInstance) -> np.ndarray:
-    """f(a) = y^a mod N for a in [0, q), by doubling: entries [s, 2s) are
-    entries [0, s) times y^s.  Products stay below N^2 < q, within int64."""
-    q, n = inst.register_size, inst.modulus
-    table = np.empty(q, dtype=np.int64)
-    table[0] = 1
-    size = 1
-    while size < q:
-        table[size:2 * size] = table[:size] * pow(inst.base, size, n) % n
-        size *= 2
-    return table
-
-
 def build_register(inst: PeriodInstance, memory_cap: int = DEFAULT_MEMORY_CAP) -> StateVector:
     """The pair state q^{-1/2} sum_a |a>|y^a mod N>, dim q x N.
 
@@ -121,9 +124,8 @@ def build_register(inst: PeriodInstance, memory_cap: int = DEFAULT_MEMORY_CAP) -
     """
     q, n = inst.register_size, inst.modulus
     require_amplitudes(q * n, memory_cap, "register")
-    table = _modexp_table(inst)
     amps = np.zeros(q * n, dtype=np.complex128)
-    amps[np.arange(q, dtype=np.int64) * n + table] = 1.0 / np.sqrt(q)
+    amps[np.arange(q, dtype=np.int64) * n + inst.table] = 1.0 / np.sqrt(q)
     return StateVector(amps, (q, n))
 
 
@@ -162,7 +164,7 @@ def continued_fraction_denominator(c: int, q: int, bound: int) -> int | None:
 
 def marked_arguments(inst: PeriodInstance) -> np.ndarray:
     """All a in [0, q) with y^a = y (mod N); the support of the amplified state."""
-    table = _modexp_table(inst)
+    table = inst.table
     return np.nonzero(table == table[1])[0]
 
 
@@ -199,9 +201,7 @@ def _verified_minimal_period(y: int, n: int, candidate: int) -> int | None:
     return g
 
 
-def _sample_column(
-    inst: PeriodInstance, table: np.ndarray, rng: np.random.Generator
-) -> tuple[int, int]:
+def _sample_column(inst: PeriodInstance, rng: np.random.Generator) -> tuple[int, int]:
     """Measure the function register, then Fourier-sample the argument
     register, on the one column of the pair state that the projection
     leaves nonzero (Shor, quant-ph/9508027, section 5).
@@ -210,7 +210,7 @@ def _sample_column(
     ``shor_project`` -> ``qft`` -> ``measure_register``, with
     probabilities equal up to rounding, from q amplitudes instead of q*N.
     """
-    q, n = inst.register_size, inst.modulus
+    q, n, table = inst.register_size, inst.modulus, inst.table
     marginal = np.bincount(table, minlength=n) / q
     marginal = marginal / marginal.sum()
     l = int(rng.choice(n, p=marginal))
@@ -231,7 +231,7 @@ def shor_sample(
     register exceed ``memory_cap``.
     """
     require_amplitudes(inst.register_size, memory_cap, "register")
-    return _sample_column(inst, _modexp_table(inst), rng)
+    return _sample_column(inst, rng)
 
 
 def shor_period(
@@ -249,11 +249,10 @@ def shor_period(
     """
     y, n, q = inst.base, inst.modulus, inst.register_size
     require_amplitudes(q, memory_cap, "register")
-    table = _modexp_table(inst)
     oracle_calls = measurements = 0
     seen_denominators: list[int] = []
     for attempt in range(1, max_attempts + 1):
-        _, c = _sample_column(inst, table, rng)
+        _, c = _sample_column(inst, rng)
         oracle_calls += 1
         measurements += 2
         d = continued_fraction_denominator(c, q, n)
@@ -273,8 +272,7 @@ def shor_period(
 
 def _search_instance(inst: PeriodInstance) -> GroverInstance:
     """Search over the argument register for {a : y^a = y (mod N)}."""
-    return GroverInstance(inst.register_size,
-                          frozenset(int(a) for a in marked_arguments(inst)))
+    return GroverInstance(inst.register_size, frozenset(marked_arguments(inst).tolist()))
 
 
 def _amplified_state(inst: PeriodInstance, memory_cap: int) -> tuple[StateVector, int, int]:
@@ -469,15 +467,7 @@ class MethodReport:
     attempts: int
 
     def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "succeeded": self.succeeded,
-            "period": self.period,
-            "oracle_calls": self.oracle_calls,
-            "measurements": self.measurements,
-            "projective_measurements": self.projective_measurements,
-            "attempts": self.attempts,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,67 @@
+"""The benchmark's per-layer tracer (bench/layers.py) still fits the package.
+
+The tracer wraps package functions by name from outside; a rename or a
+removed binding would silently zero a span instead of failing, so these
+checks load it by path and run a few commands through it.
+"""
+
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+from qgeodesic import cli
+
+LAYERS = Path(__file__).resolve().parents[1] / "bench" / "layers.py"
+
+COMMANDS = [
+    ["geodesic-check", "4"],
+    ["compare", "15", "2", "--seed", "1"],
+    ["factor", "15", "--method", "shor", "--seed", "1"],
+]
+
+
+@pytest.fixture(scope="module")
+def layers():
+    spec = importlib.util.spec_from_file_location("bench_layers", LAYERS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def bindings(layers) -> dict:
+    """Identity of every attribute of every loaded qgeodesic module and of
+    each validator's ``__post_init__``."""
+    found = {}
+    for name, module in list(sys.modules.items()):
+        if name == "qgeodesic" or name.startswith("qgeodesic."):
+            for attr, value in vars(module).items():
+                found[name, attr] = id(value)
+    for layer, cls_name in layers.VALIDATORS.items():
+        cls = getattr(importlib.import_module(f"qgeodesic.{layer}"), cls_name)
+        found[cls_name, "__post_init__"] = id(vars(cls)["__post_init__"])
+    return found
+
+
+def test_span_and_validator_names_exist(layers):
+    for layer, names in layers.SPANS.items():
+        module = importlib.import_module(f"qgeodesic.{layer}")
+        for name in names:
+            assert callable(getattr(module, name, None)), f"qgeodesic.{layer}.{name}"
+    for layer, cls_name in layers.VALIDATORS.items():
+        cls = getattr(importlib.import_module(f"qgeodesic.{layer}"), cls_name, None)
+        assert cls is not None, f"qgeodesic.{layer}.{cls_name}"
+        assert "__post_init__" in vars(cls), f"{cls_name}.__post_init__"
+
+
+def test_traced_commands_run_and_bindings_are_restored(layers, capsys):
+    before = bindings(layers)
+    with layers.Tracer() as tracer:
+        codes = [cli.main(argv) for argv in COMMANDS]
+    capsys.readouterr()
+    assert codes == [0] * len(COMMANDS)
+    assert tracer.counts["cli.main.calls"] == len(COMMANDS)
+    assert tracer.counts["geometry.integrate_geodesic.steps"] > 0
+    assert bindings(layers) == before

@@ -8,8 +8,9 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from qgeodesic import cli
-from qgeodesic.cli import _emit, main
+from qgeodesic import GroverInstance, action, cli, phi_of_step
+from qgeodesic.cli import _emit, _fine_grid, _parse_marked, main
+from qgeodesic.grover import class_path
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
@@ -85,6 +86,20 @@ class TestGroverTrace:
         for row in rows:
             expected = float(row["phi"]) - float(rows[0]["phi"])
             assert float(row["action_cumulative"]) == pytest.approx(expected, abs=1e-3)
+
+    @pytest.mark.parametrize("n_items,marked,steps", [
+        ("16", "0,5", 4), ("64", "0", 6), ("256", "0", 12),
+        ("65536", "3,4099,20000,65535", 100),
+    ])
+    def test_action_column_is_action(self, capsys, n_items, marked, steps):
+        assert run(["grover-trace", n_items, "--marked", marked, "--steps", str(steps),
+                    "--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        inst = GroverInstance(int(n_items), frozenset(_parse_marked(marked)))
+        fine = class_path(_fine_grid(inst.theta, phi_of_step(inst, steps), 0.01))
+        for row in rows:
+            expected = action(fine, inst.theta, row["phi"])
+            assert row["action_cumulative"] == pytest.approx(expected, abs=1e-12)
 
     def test_empty_marked_exits_2(self, capsys):
         assert run(["grover-trace", "4", "--marked", "", "--steps", "1"]) == 2

@@ -66,6 +66,42 @@ def analytic_paths(draw):
     return amplification_path(GroverInstance(n, frozenset(marked)), dphi)
 
 
+@st.composite
+def varying_fisher_paths(draw):
+    """Two-outcome paths p = (sin^2 g, cos^2 g) with g = phi + c phi^2, so
+    the Fisher value 4 g'^2 varies, on random strictly increasing grids."""
+    n = draw(st.integers(3, 60))
+    steps = draw(st.lists(st.floats(1e-3, 0.05), min_size=n - 1, max_size=n - 1))
+    phis = draw(st.floats(0.0, 1.0)) + np.concatenate(([0.0], np.cumsum(steps)))
+    g = phis + draw(st.floats(-0.5, 0.5)) * phis**2
+    amps = np.stack([np.sin(g), np.cos(g)], axis=1)
+    return ProbabilityPath(phis, amps**2, amps)
+
+
+def stage_rk4(init, fisher_const, phi_end, dt):
+    """Four-stage classic RK4 for xddot = -(F/4) x, with the step schedule of
+    integrate_geodesic; the reference for its propagator form."""
+    omega_sq = fisher_const / 4.0
+
+    def step(x, v, h):
+        k1x, k1v = v, -omega_sq * x
+        k2x, k2v = v + 0.5 * h * k1v, -omega_sq * (x + 0.5 * h * k1x)
+        k3x, k3v = v + 0.5 * h * k2v, -omega_sq * (x + 0.5 * h * k2x)
+        k4x, k4v = v + h * k3v, -omega_sq * (x + h * k3x)
+        return (x + h / 6.0 * (k1x + 2 * k2x + 2 * k3x + k4x),
+                v + h / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v))
+
+    span = phi_end - init.phi
+    n_full = int(np.floor(span / dt + 1e-9))
+    remainder = span - n_full * dt
+    states = [(init.x, init.xdot)]
+    for _ in range(n_full):
+        states.append(step(*states[-1], dt))
+    if remainder > 1e-12 * max(1.0, span):
+        states.append(step(*states[-1], remainder))
+    return states
+
+
 class TestFisherDiscrete:
     def test_record_array(self):
         path = grover_fine_path(16)
@@ -219,6 +255,28 @@ class TestAction:
         with pytest.raises(ValueError):
             action(path, 0.0, 1.0)
 
+    @settings(max_examples=60, deadline=None)
+    @given(varying_fisher_paths(), st.data())
+    def test_on_grid_bounds_are_the_trapezoid(self, path, data):
+        i = data.draw(st.integers(0, path.n_samples - 2))
+        j = data.draw(st.integers(i + 1, path.n_samples - 1))
+        integrand = 0.5 * np.sqrt(fisher_discrete(path).fisher)
+        expected = np.trapezoid(integrand[i:j + 1], path.phis[i:j + 1])
+        assert abs(action(path, path.phis[i], path.phis[j]) - expected) < 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(varying_fisher_paths(), st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3))
+    def test_additive_over_split_intervals(self, path, fractions):
+        lo, hi = path.phis[0], path.phis[-1]
+        a, b, c = np.minimum(lo + np.sort(fractions) * (hi - lo), hi)
+        assert abs(action(path, a, c) - action(path, a, b) - action(path, b, c)) < 1e-12
+
+    def test_partial_cell_takes_the_cell_slope(self):
+        path = two_outcome_path(np.array([0.0, 0.1, 0.3, 0.35, 0.6]))
+        whole = action(path, 0.1, 0.3)
+        for t in (0.25, 0.5, 0.9):
+            assert action(path, 0.1, 0.1 + t * 0.2) == pytest.approx(t * whole, abs=1e-15)
+
 
 class TestGeodesicResidual:
     def test_grover_path_small_residual(self):
@@ -330,6 +388,23 @@ class TestIntegrateGeodesic:
                 break
             state = integrate_geodesic(state, 4.0, phi, 1e-4)[-1]
             assert np.max(np.abs(state.x**2 - sim.probs[j])) < 1e-6
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 8), st.floats(0.1, 20.0), st.floats(2e-3, 0.1),
+           st.floats(0.0, 3.0), st.integers(0, 2**32 - 1))
+    def test_matches_stage_form(self, dim, fisher_const, dt, span, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=dim)
+        x /= np.linalg.norm(x)
+        v = rng.normal(size=dim)
+        v -= np.dot(v, x) * x  # tangent
+        init = GeodesicState(x, v, float(rng.uniform(-1.0, 1.0)))
+        states = integrate_geodesic(init, fisher_const, init.phi + span, dt)
+        reference = stage_rk4(init, fisher_const, init.phi + span, dt)
+        assert len(states) == len(reference)
+        for state, (ref_x, ref_v) in zip(states, reference):
+            assert np.max(np.abs(state.x - ref_x)) < 1e-12
+            assert np.max(np.abs(state.xdot - ref_v)) < 1e-12
 
     def test_input_validation(self):
         good = self.grover_initial(4)

@@ -1,5 +1,6 @@
 """Number theory, register construction, both period finders, factoring."""
 
+import functools
 import json
 import math
 from fractions import Fraction
@@ -38,7 +39,6 @@ from qgeodesic import period
 from qgeodesic.period import (
     _amplified_state,
     _integer_root,
-    _modexp_table,
     _period_from_samples,
     _prime_power_base,
     _verified_minimal_period,
@@ -177,9 +177,42 @@ class TestModexpTable:
     @pytest.mark.parametrize("n,y", SWEEP + [(91, 3), (143, 2), (221, 7), (323, 5)])
     def test_matches_builtin_pow(self, n, y):
         inst = PeriodInstance(n, y)
-        table = _modexp_table(inst)
+        table = inst.table
         assert table.dtype == np.int64
         assert table.tolist() == [pow(y, a, n) for a in range(inst.register_size)]
+
+    def test_read_only(self):
+        inst = PeriodInstance(15, 2)
+        with pytest.raises(ValueError):
+            inst.table[0] = 5
+        assert inst.table[0] == 1
+
+    @pytest.fixture
+    def table_builds(self, monkeypatch):
+        """Instances whose table is built, one entry per build."""
+        builds = []
+        build = vars(PeriodInstance)["table"].func
+
+        def counting(inst):
+            builds.append(inst)
+            return build(inst)
+
+        spy = functools.cached_property(counting)
+        spy.__set_name__(PeriodInstance, "table")
+        monkeypatch.setattr(PeriodInstance, "table", spy)
+        return builds
+
+    def test_compare_builds_one_table(self, table_builds):
+        inst = PeriodInstance(143, 108)
+        compare_methods(inst, seed=1)
+        assert table_builds == [inst]
+
+    def test_factor_builds_one_table_per_base(self, table_builds):
+        for method in (SHOR, GROVER_ADIABATIC):
+            table_builds.clear()
+            result = factor(91, method, np.random.default_rng(3))  # three bases
+            tried = [a["y"] for a in result.attempts if a["outcome"] != "shared-factor"]
+            assert [inst.base for inst in table_builds] == tried
 
 
 class TestShorSampleMatchesDense:
