@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import sys
@@ -322,7 +323,10 @@ _OPTIONS = {
 }
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built once per process.  ``parse_args`` returns a
+    fresh namespace on every call, so no state carries over between calls."""
     parser = argparse.ArgumentParser(
         prog="qgeodesic",
         description="Search and period-finding simulations with "

@@ -230,8 +230,11 @@ def integrate_geodesic(
         raise ValueError(f"dt must be positive and finite, got {dt}")
     if not np.isfinite(fisher_const) or fisher_const <= 0:
         raise ValueError(f"fisher_const must be positive, got {fisher_const}")
-    x = np.asarray(init.x, dtype=np.float64).copy()
-    v = np.asarray(init.xdot, dtype=np.float64).copy()
+    x = np.asarray(init.x, dtype=np.float64)
+    v = np.asarray(init.xdot, dtype=np.float64)
+    if x.ndim != 1 or x.shape != v.shape:
+        raise ValueError(f"x and xdot must be vectors of one length, got shapes "
+                         f"{x.shape} and {v.shape}")
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(v))
             and np.isfinite(init.phi) and np.isfinite(phi_end)):
         raise ValueError("non-finite input to geodesic integrator")
@@ -245,28 +248,46 @@ def integrate_geodesic(
     omega_sq = fisher_const / 4.0
 
     def rk4(h):
-        """One RK4 step of length h.  For this linear system it is exactly
-        the degree-4 Taylor propagator, x' = x + (s v - a x) and
-        v' = v - (a v + omega_sq s x) with z = omega_sq h^2,
-        a = z/2 - z^2/24 and s = h (1 - z/6); the increment form avoids
+        """Coefficients of one RK4 step of length h.  For this linear system
+        it is exactly the degree-4 Taylor propagator, x' = x + (s v - a x)
+        and v' = v - (a v + w x) with z = omega_sq h^2, a = z/2 - z^2/24,
+        s = h (1 - z/6) and w = omega_sq s; the increment form avoids
         multiplying by the rounded 1 - a on every step."""
         z = omega_sq * h * h
-        a, s = z / 2.0 - z * z / 24.0, h * (1.0 - z / 6.0)
-        w = omega_sq * s
-        return lambda x, v: (x + (s * v - a * x), v - (a * v + w * x))
+        s = h * (1.0 - z / 6.0)
+        return s, z / 2.0 - z * z / 24.0, omega_sq * s
 
-    span = phi_end - float(init.phi)
+    phi0 = float(init.phi)
+    span = phi_end - phi0
     n_full = int(np.floor(span / dt + 1e-9))
     remainder = span - n_full * dt
-    states = [GeodesicState(x.copy(), v.copy(), float(init.phi))]
-    step = rk4(dt)
-    for k in range(1, n_full + 1):
-        x, v = step(x, v)
-        states.append(GeodesicState(x, v, float(init.phi) + k * dt))
+    steps = [rk4(dt)] * n_full
+    phis = [phi0] + [phi0 + k * dt for k in range(1, n_full + 1)]
     if remainder > 1e-12 * max(1.0, span):
-        x, v = rk4(remainder)(x, v)
-        states.append(GeodesicState(x, v, float(phi_end)))
-    return states
+        steps.append(rk4(remainder))
+        phis.append(float(phi_end))
+
+    # Stepped on Python floats, one coordinate at a time, which is the
+    # elementwise arithmetic of an array step without its per-step ufunc
+    # overhead.  Coordinates whose (x, v) bits agree follow the same
+    # trajectory, so each distinct pair is stepped once (a search state
+    # has two, whatever N).
+    slots: dict[tuple[int, int], int] = {}
+    inverse = [slots.setdefault(key, len(slots))
+               for key in zip(x.view(np.int64).tolist(), v.view(np.int64).tolist())]
+    pairs = np.array(list(slots), dtype=np.int64).view(np.float64)
+    xs, vs = [], []
+    for xi, vi in pairs.tolist():
+        x_run, v_run = [xi], [vi]
+        for s, a, w in steps:
+            xi, vi = xi + (s * vi - a * xi), vi - (a * vi + w * xi)
+            x_run.append(xi)
+            v_run.append(vi)
+        xs.append(x_run)
+        vs.append(v_run)
+    x_rows = np.array(xs).T.take(inverse, axis=1)
+    v_rows = np.array(vs).T.take(inverse, axis=1)
+    return [GeodesicState(xk, vk, phi) for xk, vk, phi in zip(x_rows, v_rows, phis)]
 
 
 def input_information(path: ProbabilityPath, phi0: float) -> float:

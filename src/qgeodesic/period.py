@@ -201,24 +201,11 @@ def _verified_minimal_period(y: int, n: int, candidate: int) -> int | None:
     return g
 
 
-def _sample_column(inst: PeriodInstance, rng: np.random.Generator) -> tuple[int, int]:
-    """Measure the function register, then Fourier-sample the argument
-    register, on the one column of the pair state that the projection
-    leaves nonzero (Shor, quant-ph/9508027, section 5).
-
-    Makes the same draws from ``rng`` as ``build_register`` ->
-    ``shor_project`` -> ``qft`` -> ``measure_register``, with
-    probabilities equal up to rounding, from q amplitudes instead of q*N.
-    """
-    q, n, table = inst.register_size, inst.modulus, inst.table
-    marginal = np.bincount(table, minlength=n) / q
-    marginal = marginal / marginal.sum()
-    l = int(rng.choice(n, p=marginal))
-    column = table == l
-    amps = np.zeros(q, dtype=np.complex128)
-    amps[column] = 1.0 / np.sqrt(np.count_nonzero(column))
-    c, _ = measure_register(qft(StateVector(amps)), 0, rng)
-    return l, c
+def _born_distribution(state: StateVector) -> np.ndarray:
+    """Readout distribution |c|^2 / sum |c|^2 of a single register: the one
+    ``measure_register`` draws from, without the collapsed state it builds."""
+    p = np.abs(state.amplitudes) ** 2
+    return p / p.sum()
 
 
 def shor_sample(
@@ -227,11 +214,27 @@ def shor_sample(
     """One projection + transform attempt: returns (function value l,
     measured frequency c).
 
+    Measures the function register, then Fourier-samples the argument
+    register, on the one column of the pair state that the projection
+    leaves nonzero (Shor, quant-ph/9508027, section 5).  Makes the same
+    draws from ``rng`` as ``build_register`` -> ``shor_project`` -> ``qft``
+    -> ``measure_register``, with probabilities equal up to rounding, from q
+    amplitudes instead of q*N.
+
     Raises :class:`ResourceLimitError` if the q amplitudes of the argument
     register exceed ``memory_cap``.
     """
-    require_amplitudes(inst.register_size, memory_cap, "register")
-    return _sample_column(inst, rng)
+    q, n = inst.register_size, inst.modulus
+    require_amplitudes(q, memory_cap, "register")
+    table = inst.table
+    marginal = np.bincount(table, minlength=n) / q
+    marginal = marginal / marginal.sum()
+    l = int(rng.choice(n, p=marginal))
+    column = table == l
+    amps = np.zeros(q, dtype=np.complex128)
+    amps[column] = 1.0 / np.sqrt(np.count_nonzero(column))
+    c = int(rng.choice(q, p=_born_distribution(qft(StateVector(amps)))))
+    return l, c
 
 
 def shor_period(
@@ -248,11 +251,10 @@ def shor_period(
     attempt is declared failed.
     """
     y, n, q = inst.base, inst.modulus, inst.register_size
-    require_amplitudes(q, memory_cap, "register")
     oracle_calls = measurements = 0
     seen_denominators: list[int] = []
     for attempt in range(1, max_attempts + 1):
-        _, c = _sample_column(inst, rng)
+        _, c = shor_sample(inst, rng, memory_cap)
         oracle_calls += 1
         measurements += 2
         d = continued_fraction_denominator(c, q, n)
@@ -316,12 +318,12 @@ def grover_period(
         raise ValueError(f"need at least 2 samples, got {samples}")
     y, n = inst.base, inst.modulus
     state, steps, _ = _amplified_state(inst, memory_cap)
+    p = _born_distribution(state)
     oracle_calls = measurements = 0
     for round_index in range(1, max_rounds + 1):
         outcomes = []
         for _ in range(samples):
-            outcome, _ = measure_register(state, 0, rng)
-            outcomes.append(outcome)
+            outcomes.append(int(rng.choice(p.size, p=p)))
             oracle_calls += steps  # one oracle application per loop iteration
             measurements += 1
         period = _period_from_samples(y, n, outcomes)

@@ -8,6 +8,7 @@ are pure: they take a state and return a new one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Union
 
@@ -46,11 +47,11 @@ class StateVector:
             raise ValueError(f"register shape must have 1 or 2 axes, got {shape}")
         if any(d < 1 for d in shape):
             raise ValueError(f"register dimensions must be >= 1, got {shape}")
-        if int(np.prod(shape)) != amps.size:
+        if math.prod(shape) != amps.size:
             raise ValueError(
                 f"shape {shape} does not match {amps.size} amplitudes")
         object.__setattr__(self, "shape", tuple(int(d) for d in shape))
-        norm_sq = float(np.sum(np.abs(amps) ** 2))
+        norm_sq = float(np.vdot(amps, amps).real)
         if abs(norm_sq - 1.0) > 1e-9:
             raise ValueError(f"state is not normalized: sum |c|^2 = {norm_sq!r}")
 

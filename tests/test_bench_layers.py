@@ -7,6 +7,7 @@ checks load it by path and run a few commands through it.
 
 import importlib
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -65,3 +66,14 @@ def test_traced_commands_run_and_bindings_are_restored(layers, capsys):
     assert tracer.counts["cli.main.calls"] == len(COMMANDS)
     assert tracer.counts["geometry.integrate_geodesic.steps"] > 0
     assert bindings(layers) == before
+
+
+def test_shor_samples_are_counted(layers, capsys):
+    """shor_period draws through the public shor_sample, so the tracer's
+    attempt count and the Shor useful ratio read nonzero."""
+    with layers.Tracer() as tracer:
+        assert cli.main(["compare", "15", "2", "--seed", "1"]) == 0
+    attempts = json.loads(capsys.readouterr().out)["methods"]["shor"]["attempts"]
+    metrics = tracer.metrics()
+    assert metrics["period.shor_sample.calls"] == attempts == 2
+    assert metrics["period.shor.useful_ratio"] == 0.5

@@ -3,7 +3,10 @@
 import json
 import os
 import stat
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -243,6 +246,55 @@ class TestDeterminism:
         _, first = run_to_file(tmp_path, "a-" + name, args)
         _, second = run_to_file(tmp_path, "b-" + name, args)
         assert first.read_bytes() == second.read_bytes()
+
+
+class TestParserReuse:
+    """The parser is built once per process.  Different subcommands run
+    back to back through main give, call for call, the stdout, stderr,
+    exit code and --out bytes of a fresh ``python -m qgeodesic`` process."""
+
+    SEQUENCES = {  # (argv, exit code) per call
+        "compare-then-default-dphi": [
+            (["compare", "15", "2", "--seed", "1", "--dphi", "0.1"], 0),
+            (["geodesic-check", "64"], 0),
+        ],
+        "usage-error-then-factor": [
+            (["factor", "15", "--method", "shor"], 2),
+            (["factor", "21", "--method", "shor", "--seed", "3"], 0),
+        ],
+        "csv-then-json": [
+            (["grover-trace", "64", "--marked", "0,9", "--steps", "4"], 0),
+            (["grover-trace", "64", "--marked", "0,9", "--steps", "4", "--format", "json"], 0),
+        ],
+    }
+
+    @staticmethod
+    def outcome(code, out, err, path):
+        return code, out, err, path.read_bytes() if path.exists() else None
+
+    def fresh(self, args, path):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-m", "qgeodesic", *args, "--out", str(path)],
+                              capture_output=True, text=True, env=env, check=False)
+        return self.outcome(proc.returncode, proc.stdout, proc.stderr, path)
+
+    def reused(self, args, path, capsys):
+        try:
+            code = main(args + ["--out", str(path)])
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return self.outcome(code, captured.out, captured.err, path)
+
+    @pytest.mark.parametrize("name", sorted(SEQUENCES))
+    def test_back_to_back_matches_fresh_processes(self, name, tmp_path, capsys):
+        assert cli.build_parser() is cli.build_parser()
+        for index, (args, code) in enumerate(self.SEQUENCES[name]):
+            reused = self.reused(args, tmp_path / f"reused{index}", capsys)
+            assert reused == self.fresh(args, tmp_path / f"fresh{index}")
+            assert reused[0] == code
 
 
 class TestStdoutFallback:

@@ -102,6 +102,33 @@ def stage_rk4(init, fisher_const, phi_end, dt):
     return states
 
 
+def array_rk4(init, fisher_const, phi_end, dt):
+    """integrate_geodesic's increment form stepped on numpy arrays, with its
+    step schedule and phi values: the reference for float stepping."""
+    omega_sq = fisher_const / 4.0
+
+    def coefficients(h):
+        z = omega_sq * h * h
+        s = h * (1.0 - z / 6.0)
+        return s, z / 2.0 - z * z / 24.0, omega_sq * s
+
+    x = np.asarray(init.x, dtype=np.float64).copy()
+    v = np.asarray(init.xdot, dtype=np.float64).copy()
+    span = phi_end - float(init.phi)
+    n_full = int(np.floor(span / dt + 1e-9))
+    remainder = span - n_full * dt
+    rows = [(x, v, float(init.phi))]
+    s, a, w = coefficients(dt)
+    for k in range(1, n_full + 1):
+        x, v = x + (s * v - a * x), v - (a * v + w * x)
+        rows.append((x, v, float(init.phi) + k * dt))
+    if remainder > 1e-12 * max(1.0, span):
+        s, a, w = coefficients(remainder)
+        x, v = x + (s * v - a * x), v - (a * v + w * x)
+        rows.append((x, v, float(phi_end)))
+    return rows
+
+
 class TestFisherDiscrete:
     def test_record_array(self):
         path = grover_fine_path(16)
@@ -406,6 +433,35 @@ class TestIntegrateGeodesic:
             assert np.max(np.abs(state.x - ref_x)) < 1e-12
             assert np.max(np.abs(state.xdot - ref_v)) < 1e-12
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 8), st.floats(0.1, 20.0), st.floats(2e-3, 0.1),
+           st.one_of(st.floats(0.0, 3.0), st.integers(0, 300)),
+           st.sampled_from(["distinct", "tied", "signed zeros"]),
+           st.integers(0, 2**32 - 1))
+    def test_float_steps_equal_array_steps(self, dim, fisher_const, dt, span, ties, seed):
+        """Bit for bit: float spans mostly end in a partial step, integer
+        spans count whole steps of dt.  Tied coordinates share one stepped
+        trajectory, which must not merge 0.0 with -0.0."""
+        rng = np.random.default_rng(seed)
+        x, v = rng.normal(size=dim), rng.normal(size=dim)
+        if ties == "tied":
+            x[1::2], v[1::2] = x[0], v[0]
+        elif ties == "signed zeros" and dim >= 3:
+            x[1], x[2], v[1], v[2] = 0.0, -0.0, -0.0, -0.0
+        x /= np.linalg.norm(x)
+        v -= np.dot(v, x) * x  # tangent
+        phi0 = float(rng.uniform(-1.0, 1.0))
+        phi_end = phi0 + (span * dt if isinstance(span, int) else span)
+        init = GeodesicState(x, v, phi0)
+        states = integrate_geodesic(init, fisher_const, phi_end, dt)
+        reference = array_rk4(init, fisher_const, phi_end, dt)
+        assert len(states) == len(reference)
+        assert [state.phi for state in states] == [phi for _, _, phi in reference]
+        for state, (ref_x, ref_v, _) in zip(states, reference):
+            assert state.x.shape == state.xdot.shape == (dim,)
+            assert state.x.tobytes() == ref_x.tobytes()
+            assert state.xdot.tobytes() == ref_v.tobytes()
+
     def test_input_validation(self):
         good = self.grover_initial(4)
         with pytest.raises(ValueError):
@@ -426,6 +482,9 @@ class TestIntegrateGeodesic:
             integrate_geodesic(
                 GeodesicState(np.array([1.0, 0.0]), np.array([1.0, 0.0]), 0.0),
                 4.0, 1.0, 1e-3)
+        with pytest.raises(ValueError, match="vectors of one length"):
+            integrate_geodesic(
+                GeodesicState(np.array([1.0, 0.0]), np.zeros(1), 0.0), 4.0, 1.0, 1e-3)
 
 
 class TestInputInformation:

@@ -37,6 +37,7 @@ from qgeodesic import (
 )
 from qgeodesic import period
 from qgeodesic.period import (
+    PeriodResult,
     _amplified_state,
     _integer_root,
     _period_from_samples,
@@ -399,6 +400,20 @@ class TestShorPeriod:
             assert abs(counts.get(c, 0) - trials * 0.25) <= 3 * sigma
 
 
+    def test_one_shor_sample_per_attempt(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return shor_sample(*args)
+
+        monkeypatch.setattr(period, "shor_sample", counting)
+        for y in valid_bases(21):
+            calls.clear()
+            result = shor_period(PeriodInstance(21, y), np.random.default_rng(y))
+            assert len(calls) == result.attempts == result.oracle_calls
+
+
 class TestGroverPeriod:
     def test_n15_counters(self):
         result = grover_period(PeriodInstance(15, 2), np.random.default_rng(0))
@@ -492,6 +507,42 @@ class TestAmplifiedStateMatchesDense:
                 fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
                 assert [measure_register(state, 0, fast)[0] for _ in range(3)] == \
                     [measure_register(reference[0], 0, slow)[0] for _ in range(3)]
+
+
+def measured_grover_period(inst, rng, samples, max_rounds):
+    """grover_period with each readout a measure_register collapse of the
+    amplified state: the reference for its draws from |amps|^2."""
+    state, steps, _ = _amplified_state(inst, 1 << 26)
+    oracle_calls = measurements = 0
+    for round_index in range(1, max_rounds + 1):
+        outcomes = []
+        for _ in range(samples):
+            outcomes.append(measure_register(state, 0, rng)[0])
+            oracle_calls += steps
+            measurements += 1
+        found = _period_from_samples(inst.base, inst.modulus, outcomes)
+        if found is not None:
+            return PeriodResult(
+                GROVER_ADIABATIC, found, oracle_calls, measurements, round_index, True)
+    return PeriodResult(
+        GROVER_ADIABATIC, None, oracle_calls, measurements, max_rounds, False)
+
+
+class TestBornDrawReadouts:
+    """Readouts drawn straight from |amps|^2 against measure_register
+    readouts, over every valid (N, y) with N <= 50 and seeds 0-4; the
+    one-round pairs also cover failed rounds."""
+
+    @pytest.mark.parametrize("n", [n for n in range(3, 51) if n & (n - 1)])
+    def test_same_result_and_counters(self, n):
+        for y in valid_bases(n):
+            inst = PeriodInstance(n, y)
+            for seed in range(5):
+                for samples, rounds in ((3, 20), (2, 1)):
+                    drawn = grover_period(inst, np.random.default_rng(seed),
+                                          samples=samples, max_rounds=rounds)
+                    assert drawn == measured_grover_period(
+                        inst, np.random.default_rng(seed), samples, rounds)
 
 
 class TestFactor:
