@@ -147,7 +147,7 @@ def cmd_grover_trace(n_items: int, marked: list[int], steps: int, config: RunCon
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
     require_amplitudes(n_items, config.memory_cap, "statevector")
-    inst = GroverInstance(n_items, frozenset(marked))
+    inst = GroverInstance(n_items, marked)
     require_amplitudes((steps + 1) * 2, config.memory_cap, "trajectory")
     sizes = inst.class_sizes
     p_marked, p_unmarked = (sizes * recursion_trajectory(inst, steps) ** 2).T
@@ -190,7 +190,7 @@ def cmd_geodesic_check(n_items: int, config: RunConfig) -> int:
     compare it against the analytic path and the recursion; write a JSON
     report."""
     require_amplitudes(n_items, config.memory_cap, "statevector")
-    inst = GroverInstance(n_items, frozenset({0}))
+    inst = GroverInstance(n_items, [0])
     theta = inst.theta
     dphi = config.sampling_dphi
     # The trajectory, 2 (last_step + 1) <= N cells, fits wherever N does.

@@ -192,24 +192,12 @@ def _residuals(path: ProbabilityPath, lo: int, hi: int) -> np.ndarray:
         + (fisher[lo:hi] / 4.0)[:, np.newaxis] * coords[lo:hi]
 
 
-def geodesic_residual(path: ProbabilityPath, index: int) -> np.ndarray:
-    """Residual of the geodesic equation of motion at one interior sample.
-
-    Valid indices are 2..n-3 so that every stencil, including the one for
-    fisherdot, uses central differences only.
-    """
-    _require_samples(path, 5)
-    n = path.n_samples
-    if not 2 <= index <= n - 3:
-        raise ValueError(f"index must lie in [2, {n - 3}] for central stencils")
-    return _residuals(path, index, index + 1)[0]
-
-
 def geodesic_residual_profile(path: ProbabilityPath) -> tuple[np.ndarray, np.ndarray]:
     """Max-abs geodesic residual at every valid interior sample.
 
-    Returns (phis[2:n-2], residuals); raises if fisher falls below the
-    division guard anywhere in that range.
+    Returns (phis[2:n-2], residuals): samples 2..n-3, where every stencil,
+    including the one for fisherdot, uses central differences only.  Raises
+    if fisher falls below the division guard anywhere in that range.
     """
     _require_samples(path, 5)
     lo, hi = 2, path.n_samples - 2  # slice end, valid indices 2..n-3

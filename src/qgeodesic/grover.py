@@ -18,31 +18,42 @@ from .paths import ProbabilityPath
 from .states import StateVector, invert_about_average, new_uniform, phase_flip
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroverInstance:
-    """Search over n_items basis states with a non-empty marked subset."""
+    """Search over n_items basis states with a non-empty marked subset.
+
+    ``marked`` accepts any collection of indices (set, list, range, array)
+    and holds them as one sorted, duplicate-free, read-only int64 array.
+    """
 
     n_items: int
-    marked: frozenset[int]
+    marked: np.ndarray
     theta: float = field(init=False)
 
     def __post_init__(self):
-        marked = frozenset(int(i) for i in self.marked)
-        object.__setattr__(self, "marked", marked)
-        n, m = self.n_items, len(marked)
+        n = self.n_items
         if n < 2:
             raise ValueError(f"need at least 2 items, got {n}")
-        if m == 0:
+        given = self.marked if isinstance(self.marked, np.ndarray) else list(self.marked)
+        try:
+            marked = np.sort(np.asarray(given, dtype=np.int64))
+        except OverflowError:  # beyond int64, so beyond any register
+            raise ValueError(f"marked index out of range [0, {n})") from None
+        if marked.size == 0:
             raise ValueError("marked set must be non-empty")
+        marked = marked[np.concatenate(([True], marked[1:] != marked[:-1]))]
+        m = marked.size
         if m >= n:
             raise ValueError(f"marked set must be a proper subset ({m} >= {n})")
-        if min(marked) < 0 or max(marked) >= n:
+        if marked[0] < 0 or marked[-1] >= n:
             raise ValueError(f"marked index out of range [0, {n})")
+        marked.flags.writeable = False
+        object.__setattr__(self, "marked", marked)
         object.__setattr__(self, "theta", float(np.arcsin(np.sqrt(m / n))))
 
     @property
     def n_marked(self) -> int:
-        return len(self.marked)
+        return self.marked.size
 
     @property
     def class_sizes(self) -> np.ndarray:
@@ -51,7 +62,7 @@ class GroverInstance:
 
     def marked_mask(self) -> np.ndarray:
         mask = np.zeros(self.n_items, dtype=bool)
-        mask[sorted(self.marked)] = True
+        mask[self.marked] = True
         return mask
 
 
@@ -86,21 +97,13 @@ def recursion_trajectory(inst: GroverInstance, steps: int) -> np.ndarray:
     return np.array([(s.k, s.l) for s in states])
 
 
-def analytic_path(inst: GroverInstance, phi: float) -> np.ndarray:
-    """Distribution at parameter phi: total marked mass sin^2(phi), uniform
-    within the marked and unmarked classes.  Valid for phi in [0, pi/2]."""
-    if not 0.0 <= phi <= np.pi / 2:
-        raise ValueError(f"phi must lie in [0, pi/2], got {phi}")
-    return analytic_trajectory(inst, np.array([phi])).probs[0]
-
-
 def analytic_trajectory(inst: GroverInstance, phis: np.ndarray) -> ProbabilityPath:
     """Sample the closed-form path at the given parameter values.
 
-    Unlike :func:`analytic_path` this is not restricted to [0, pi/2]: the
-    closed form continues smoothly past the solution point, with signed real
-    amplitudes recorded so derivative estimates stay clean across zero
-    crossings of the amplitudes.
+    On [0, pi/2] the total marked mass is sin^2(phi), uniform within the
+    marked and unmarked classes.  The closed form continues smoothly past
+    the solution point, with signed real amplitudes recorded so derivative
+    estimates stay clean across zero crossings of the amplitudes.
     """
     n, m = inst.n_items, inst.n_marked
     column = np.asarray(phis, dtype=np.float64)[:, np.newaxis]

@@ -103,6 +103,12 @@ class PeriodInstance:
         table.flags.writeable = False
         return table
 
+    @functools.cached_property
+    def search(self) -> GroverInstance:
+        """Search over the argument register for {a : y^a = y (mod N)},
+        built on first use from :func:`marked_arguments`."""
+        return GroverInstance(self.register_size, marked_arguments(self))
+
 
 @dataclass(frozen=True)
 class PeriodResult:
@@ -201,13 +207,6 @@ def _verified_minimal_period(y: int, n: int, candidate: int) -> int | None:
     return g
 
 
-def _born_distribution(state: StateVector) -> np.ndarray:
-    """Readout distribution |c|^2 / sum |c|^2 of a single register: the one
-    ``measure_register`` draws from, without the collapsed state it builds."""
-    p = np.abs(state.amplitudes) ** 2
-    return p / p.sum()
-
-
 def shor_sample(
     inst: PeriodInstance, rng: np.random.Generator, memory_cap: int = DEFAULT_MEMORY_CAP
 ) -> tuple[int, int]:
@@ -233,7 +232,9 @@ def shor_sample(
     column = table == l
     amps = np.zeros(q, dtype=np.complex128)
     amps[column] = 1.0 / np.sqrt(np.count_nonzero(column))
-    c = int(rng.choice(q, p=_born_distribution(qft(StateVector(amps)))))
+    # The readout distribution of measure_register, without its collapse.
+    p = np.abs(qft(StateVector(amps)).amplitudes) ** 2
+    c = int(rng.choice(q, p=p / p.sum()))
     return l, c
 
 
@@ -272,20 +273,23 @@ def shor_period(
     return PeriodResult(SHOR, None, oracle_calls, measurements, max_attempts, False)
 
 
-def _search_instance(inst: PeriodInstance) -> GroverInstance:
-    """Search over the argument register for {a : y^a = y (mod N)}."""
-    return GroverInstance(inst.register_size, frozenset(marked_arguments(inst).tolist()))
-
-
-def _amplified_state(inst: PeriodInstance, memory_cap: int) -> tuple[StateVector, int, int]:
-    """Run the search loop over the argument register on its two amplitudes
-    and spread them over the register; returns the state just before
-    readout, the iteration count, and the marked count."""
-    require_amplitudes(inst.register_size, memory_cap, "register")
-    search = _search_instance(inst)
+def _amplified_distribution(inst: PeriodInstance, memory_cap: int) -> tuple[np.ndarray, int]:
+    """Run the search loop over the argument register on its two amplitudes;
+    returns the readout distribution of the amplified register, k^2 on each
+    marked and l^2 on each unmarked argument, normalised, and the iteration
+    count."""
+    q = inst.register_size
+    require_amplitudes(q, memory_cap, "register")
+    search = inst.search
     steps = optimal_iterations(search)
     k, l = recursion_trajectory(search, steps)[-1]
-    return StateVector(np.where(search.marked_mask(), k, l)), steps, search.n_marked
+    m = search.n_marked
+    norm_sq = float(m * k * k + (q - m) * l * l)
+    if abs(norm_sq - 1.0) > 1e-9:
+        raise ValueError(f"state is not normalized: sum |c|^2 = {norm_sq!r}")
+    p = np.where(search.marked_mask(), k * k, l * l)
+    p /= p.sum()
+    return p, steps
 
 
 def _period_from_samples(y: int, n: int, outcomes: list[int]) -> int | None:
@@ -317,8 +321,7 @@ def grover_period(
     if samples < 2:
         raise ValueError(f"need at least 2 samples, got {samples}")
     y, n = inst.base, inst.modulus
-    state, steps, _ = _amplified_state(inst, memory_cap)
-    p = _born_distribution(state)
+    p, steps = _amplified_distribution(inst, memory_cap)
     oracle_calls = measurements = 0
     for round_index in range(1, max_rounds + 1):
         outcomes = []
@@ -508,7 +511,7 @@ def _fisher_trace(
 ) -> tuple[list[float], list[float]]:
     """Fisher values along the amplification path, from the uniform state at
     phi = theta to the amplified state at pi/2, resampled at step dphi."""
-    search = _search_instance(inst)
+    search = inst.search
     require_amplitudes(amplification_samples(search, dphi) * 2, memory_cap,
                        "resampled path")
     trace = fisher_discrete(amplification_path(search, dphi))

@@ -127,19 +127,11 @@ def phase_flip(state: StateVector, marked: MarkedSpec) -> StateVector:
 
 
 def invert_about_average(state: StateVector) -> StateVector:
-    """Reflect amplitudes about their mean, c -> 2<c> - c.
-
-    On a pair state the reflection acts on the first register for each fixed
-    value of the second register (the second register rides along).
-    """
+    """Reflect the amplitudes of a single register about their mean,
+    c -> 2<c> - c."""
     if state.is_pair:
-        mat = state.as_matrix()
-        mean = mat.mean(axis=0)
-        amps = (2.0 * mean[np.newaxis, :] - mat).ravel()
-    else:
-        mean = state.amplitudes.mean()
-        amps = 2.0 * mean - state.amplitudes
-    return StateVector(amps, state.shape)
+        raise ValueError("invert_about_average acts on a single register")
+    return StateVector(2.0 * state.amplitudes.mean() - state.amplitudes, state.shape)
 
 
 def qft(state: StateVector, register: int = 0, inverse: bool = False) -> StateVector:

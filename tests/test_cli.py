@@ -5,6 +5,7 @@ import os
 import stat
 import subprocess
 import sys
+import tracemalloc
 from importlib import resources
 from pathlib import Path
 
@@ -107,6 +108,15 @@ class TestGroverTrace:
     def test_empty_marked_exits_2(self, capsys):
         assert run(["grover-trace", "4", "--marked", "", "--steps", "1"]) == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("marked,message", [
+        (",", "marked set must be non-empty"),
+        ("3,3,-1", "marked index out of range [0, 16)"),
+        ("99999999999999999999", "marked index out of range [0, 16)"),
+    ])
+    def test_marked_errors_exit_2(self, capsys, marked, message):
+        assert run(["grover-trace", "16", "--marked", marked, "--steps", "1"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_bad_instance_exits_2(self):
         assert run(["grover-trace", "1", "--marked", "0", "--steps", "1"]) == 2
@@ -360,6 +370,20 @@ class TestAllocationCaps:
     def test_exits_3_before_allocating(self, args, message, capsys):
         assert run(args) == 3
         assert capsys.readouterr().err == f"resource error: {message}\n"
+
+    def test_compare_peak_is_a_few_registers(self, capsys):
+        # q = 2^20 with M = 2^19 marked: the charged register is q complex
+        # amplitudes (16 MiB); the period search holds only the sizes and
+        # one int64 index array on top of the uncharged int64 modexp table.
+        register_bytes = (1 << 20) * 16
+        tracemalloc.start()
+        try:
+            assert run(["compare", "1023", "1022", "--seed", "1"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * register_bytes, f"peak {peak / 2**20:.1f} MiB"
+        capsys.readouterr()
 
     def test_shor_fits_where_the_pair_state_did_not(self, capsys):
         # q = 256 fits, q * N = 3840 would not

@@ -15,7 +15,6 @@ from qgeodesic import (
     basis_state,
     fisher_discrete,
     fubini_study_distance,
-    geodesic_residual,
     geodesic_residual_profile,
     input_information,
     integrate_geodesic,
@@ -25,7 +24,6 @@ from qgeodesic import (
     run_grover,
     unitarity_identity_check,
 )
-from qgeodesic.grover import amplification_path
 
 
 def grover_fine_path(n, dphi=0.01, lo=None, hi=np.pi / 2):
@@ -55,15 +53,6 @@ def injected_phase_path(n_samples=41, dphi=0.01):
     amps = np.tile(np.sqrt(p).astype(complex), (n_samples, 1))
     amps[:, 0] *= np.exp(1j * phis)
     return ProbabilityPath(phis, np.tile(p, (n_samples, 1)), amps)
-
-
-@st.composite
-def analytic_paths(draw):
-    """Closed-form amplification paths over random (N, marked set, dphi)."""
-    n = draw(st.integers(2, 64))
-    marked = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n - 1))
-    dphi = draw(st.floats(0.002, 0.1))
-    return amplification_path(GroverInstance(n, frozenset(marked)), dphi)
 
 
 @st.composite
@@ -316,15 +305,18 @@ class TestGeodesicResidual:
         phis = np.linspace(0.28, 0.32, 21)
         probs = np.stack([phis, 1.0 - phis], axis=1)
         path = ProbabilityPath(phis, probs)
-        res = geodesic_residual(path, 10)
-        # closed-form residual of the equation of motion at phi = 0.3
+        phis_out, profile = geodesic_residual_profile(path)
+        assert phis_out[8] == phis[10]  # profile row i - 2 is sample i
+        # closed-form residual of the equation of motion at phi = 0.3, per
+        # coordinate x = sqrt(p), p in (phi, 1 - phi)
         phi = 0.3
         fisher = 1 / phi + 1 / (1 - phi)
         fdot = -1 / phi**2 + 1 / (1 - phi) ** 2
-        expected0 = (-0.25 * phi**-1.5) - (fdot / fisher) * (0.5 * phi**-0.5) \
-            + (fisher / 4) * np.sqrt(phi)
-        assert abs(res[0] - expected0) < 1e-3
-        assert abs(res[0]) > 0.1
+        expected = [(-0.25 * p**-1.5) - (fdot / fisher) * (sign * 0.5 * p**-0.5)
+                    + (fisher / 4) * np.sqrt(p)
+                    for p, sign in ((phi, 1), (1 - phi, -1))]
+        assert abs(profile[8] - max(map(abs, expected))) < 1e-3
+        assert profile[8] > 0.1
 
     def test_harmonic_path_solves_equation(self):
         # x = a sin(phi) + b cos(phi) with sum a^2 = sum b^2 = 1, a.b = 0
@@ -349,24 +341,9 @@ class TestGeodesicResidual:
         assert maxima[0] / maxima[1] > 3.0
         assert maxima[1] / maxima[2] > 3.0
 
-    @settings(max_examples=60, deadline=None)
-    @given(analytic_paths())
-    def test_single_index_matches_profile(self, path):
-        phis, profile = geodesic_residual_profile(path)
-        assert np.array_equal(phis, path.phis[2:-2])
-        for i in range(2, path.n_samples - 2):
-            assert np.max(np.abs(geodesic_residual(path, i))) == profile[i - 2]
-
     def test_stationary_path_guard(self):
-        with pytest.raises(ValueError):
-            geodesic_residual(constant_path([0.5, 0.5]), 2)
-
-    def test_index_bounds(self):
-        path = grover_fine_path(4)
-        with pytest.raises(ValueError):
-            geodesic_residual(path, 1)
-        with pytest.raises(ValueError):
-            geodesic_residual(path, path.n_samples - 2)
+        with pytest.raises(ValueError, match="at sample 2 below guard"):
+            geodesic_residual_profile(constant_path([0.5, 0.5]))
 
 
 class TestIntegrateGeodesic:

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from qgeodesic import (
     GroverInstance,
     RecursionState,
-    analytic_path,
     analytic_trajectory,
     marked_mass_after,
     optimal_iterations,
@@ -52,6 +51,66 @@ class TestInstance:
         with pytest.raises(ValueError):
             GroverInstance(4, frozenset({4}))
 
+    @pytest.mark.parametrize("marked,message", [
+        ([], "marked set must be non-empty"),
+        (np.array([], dtype=np.int64), "marked set must be non-empty"),
+        ([0, 1, 2, 3, 3], r"marked set must be a proper subset \(4 >= 4\)"),
+        ([3, 3, -1], r"marked index out of range \[0, 4\)"),
+        ([-1], r"marked index out of range \[0, 4\)"),
+        ([10**20], r"marked index out of range \[0, 4\)"),
+        ([1, -10**20], r"marked index out of range \[0, 4\)"),
+    ])
+    def test_error_messages(self, marked, message):
+        # checked before and after the dedupe, with no sentinel to collide
+        # with index -1 and no OverflowError for indices beyond int64
+        with pytest.raises(ValueError, match=message):
+            GroverInstance(4, marked)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 300).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n))),
+        st.randoms(use_true_random=False))
+    def test_normalised_from_any_collection(self, case, random):
+        n, indices = case
+        shuffled = np.array(indices, dtype=np.int64)
+        random.shuffle(shuffled)
+        span = range(min(indices), max(indices) + 1)
+        forms = [(frozenset(indices), indices), (indices, indices),
+                 (shuffled, indices), (span, list(span))]
+        for form, given_indices in forms:
+            distinct = set(given_indices)
+            if len(distinct) >= n:
+                continue
+            expected = np.array(sorted(distinct), dtype=np.int64)
+            inst = GroverInstance(n, form)
+            assert inst.marked.dtype == np.int64
+            assert np.array_equal(inst.marked, expected)
+            assert not inst.marked.flags.writeable
+            assert inst.n_marked == len(distinct)
+            assert inst.theta == float(np.arcsin(np.sqrt(len(distinct) / n)))
+            assert np.array_equal(np.flatnonzero(inst.marked_mask()), expected)
+
+    def test_caller_array_is_not_aliased(self):
+        given_marked = np.array([5, 1, 5])
+        inst = GroverInstance(8, given_marked)
+        given_marked[0] = 7
+        assert inst.marked.tolist() == [1, 5]
+
+    def test_compares_by_identity(self):
+        # an array field would make a generated __eq__ raise
+        inst = single_marked(4)
+        assert inst == inst and inst != single_marked(4)
+
+    def test_large_set_is_sorted_without_unique(self, monkeypatch):
+        # np.unique took 0.4 s at M = 2^19; sort plus adjacent dedupe takes ms
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.unique called")
+        monkeypatch.setattr(np, "unique", refuse)
+        marked = np.arange(1 << 19, dtype=np.int64)[::-1] * 2
+        inst = GroverInstance(1 << 20, marked)
+        assert inst.n_marked == 1 << 19
+        assert np.array_equal(inst.marked, np.arange(0, 1 << 20, 2))
+
 
 class TestRecursion:
     def test_n4_first_step(self):
@@ -85,30 +144,30 @@ class TestRecursion:
 class TestAnalyticPath:
     def test_endpoints(self):
         inst = single_marked(8)
-        start = analytic_path(inst, 0.0)
+        start, end = analytic_trajectory(inst, [0.0, np.pi / 2]).probs
         assert start[0] == 0.0
         assert np.allclose(start[1:], 1.0 / 7.0)
-        end = analytic_path(inst, np.pi / 2)
         assert abs(end[0] - 1.0) < 1e-12
         assert np.allclose(end[1:], 0.0, atol=1e-30)
 
     def test_uniform_point(self):
         # sin^2(pi/6) = 1/4: the uniform distribution for N=4
         inst = single_marked(4)
-        assert np.allclose(analytic_path(inst, np.pi / 6), 0.25, atol=1e-12)
+        assert np.allclose(analytic_trajectory(inst, [np.pi / 6]).probs, 0.25, atol=1e-12)
 
-    def test_domain_errors(self):
-        inst = single_marked(4)
-        with pytest.raises(ValueError):
-            analytic_path(inst, -0.1)
-        with pytest.raises(ValueError):
-            analytic_path(inst, np.pi / 2 + 0.1)
+    def test_continues_past_the_solution(self):
+        # outside [0, pi/2] the rows stay distributions with signed amplitudes
+        inst = GroverInstance(16, [1, 5, 9])
+        phis = np.array([-0.3, np.pi / 2 + 0.3, 2.0])
+        path = analytic_trajectory(inst, phis)
+        assert np.allclose(path.probs[:, inst.marked].sum(axis=1), np.sin(phis) ** 2)
+        assert np.allclose(path.amps[:, 0], np.cos(phis) / np.sqrt(13))
+        assert path.amps[0, 1] < 0 and path.amps[1, 0] < 0
 
     def test_multi_marked_class_masses(self):
         inst = GroverInstance(16, frozenset({1, 5, 9}))
-        probs = analytic_path(inst, 0.7)
-        marked = sorted(inst.marked)
-        assert np.allclose(probs[marked], np.sin(0.7) ** 2 / 3)
+        probs = analytic_trajectory(inst, [0.7]).probs[0]
+        assert np.allclose(probs[inst.marked], np.sin(0.7) ** 2 / 3)
         assert abs(probs.sum() - 1.0) < 1e-12
 
 
@@ -181,7 +240,8 @@ class TestRunGrover:
         for j in range(steps + 1):
             phi = phi_of_step(inst, j)
             if phi <= np.pi / 2:
-                assert np.max(np.abs(path.probs[j] - analytic_path(inst, phi))) < 1e-10
+                expected = analytic_trajectory(inst, [phi]).probs[0]
+                assert np.max(np.abs(path.probs[j] - expected)) < 1e-10
 
     def test_class_uniformity_and_reality(self):
         inst = GroverInstance(128, frozenset({3, 77}))
@@ -340,7 +400,7 @@ class TestClassReduction:
         run_grover class sums, Fisher and residual profile of
         analytic_trajectory on the same fine grid."""
         inst, steps = run
-        marked = ",".join(str(i) for i in sorted(inst.marked))
+        marked = ",".join(map(str, inst.marked))
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             assert cli.main(["grover-trace", str(inst.n_items), "--marked", marked,

@@ -38,7 +38,7 @@ from qgeodesic import (
 from qgeodesic import period
 from qgeodesic.period import (
     PeriodResult,
-    _amplified_state,
+    _amplified_distribution,
     _integer_root,
     _period_from_samples,
     _prime_power_base,
@@ -426,29 +426,38 @@ class TestGroverPeriod:
 
     def test_n15_amplified_state_is_exact(self):
         inst = PeriodInstance(15, 2)
-        state, steps, tau = _amplified_state(inst, 1 << 26)
-        assert steps == 1 and tau == 64
-        mass = state.probabilities()[marked_arguments(inst)].sum()
-        assert abs(mass - 1.0) < 1e-12
+        p, steps = _amplified_distribution(inst, 1 << 26)
+        assert steps == 1 and inst.search.n_marked == 64
+        assert abs(p[marked_arguments(inst)].sum() - 1.0) < 1e-12
 
     def test_n21_amplified_mass_matches_closed_form(self):
         inst = PeriodInstance(21, 2)
-        state, steps, tau = _amplified_state(inst, 1 << 26)
-        q = inst.register_size
+        p, steps = _amplified_distribution(inst, 1 << 26)
+        q, tau = inst.register_size, inst.search.n_marked
         theta = np.arcsin(np.sqrt(tau / q))
         expected = np.sin((2 * steps + 1) * theta) ** 2
-        mass = state.probabilities()[marked_arguments(inst)].sum()
+        mass = p[marked_arguments(inst)].sum()
         assert abs(mass - expected) < 1e-10
         assert mass >= 1 - tau / q
 
     def test_readouts_lie_on_the_progression(self):
-        inst = PeriodInstance(15, 2)
-        from qgeodesic import measure_register
-        state, _, _ = _amplified_state(inst, 1 << 26)
-        rng = np.random.default_rng(21)
-        for _ in range(20):
-            outcome, _ = measure_register(state, 0, rng)
-            assert outcome % 4 == 1
+        p, _ = _amplified_distribution(PeriodInstance(15, 2), 1 << 26)
+        outcomes = np.random.default_rng(21).choice(p.size, size=20, p=p)
+        assert np.all(outcomes % 4 == 1)
+
+    def test_search_is_built_once_from_the_mask(self):
+        inst = PeriodInstance(35, 4)
+        search = inst.search
+        assert inst.search is search
+        assert search.n_items == inst.register_size
+        assert np.array_equal(search.marked, marked_arguments(inst))
+        assert not search.marked.flags.writeable
+
+    def test_unnormalised_amplitudes_are_refused(self, monkeypatch):
+        monkeypatch.setattr(period, "recursion_trajectory",
+                            lambda *_: np.array([[0.5, 0.5]]))
+        with pytest.raises(ValueError, match="state is not normalized"):
+            grover_period(PeriodInstance(15, 2), np.random.default_rng(0))
 
     def test_n21_success_rate_over_200_seeds(self):
         inst = PeriodInstance(21, 2)
@@ -476,9 +485,9 @@ class TestBothMethodsAgreeWithBruteForce:
             assert grover_period(inst, np.random.default_rng(y)).period == expected
 
 
-def dense_amplified_state(inst, memory_cap):
+def dense_amplified_state(inst):
     """The statevector search loop over the whole argument register."""
-    search = GroverInstance(inst.register_size, frozenset(marked_arguments(inst).tolist()))
+    search = GroverInstance(inst.register_size, marked_arguments(inst))
     steps = optimal_iterations(search)
     state = new_uniform(search.n_items)
     for _ in range(steps):
@@ -487,32 +496,33 @@ def dense_amplified_state(inst, memory_cap):
 
 
 class TestAmplifiedStateMatchesDense:
-    """The two-amplitude amplified state against the statevector loop, over
-    every valid (N, y) with N <= 50 and seeds 0-4.  Powers of two have no
-    register size strictly inside (N^2, 2 N^2)."""
+    """The two-amplitude readout distribution against the statevector loop,
+    over every valid (N, y) with N <= 50 and seeds 0-4.  Powers of two have
+    no register size strictly inside (N^2, 2 N^2)."""
 
     @pytest.mark.parametrize("n", [n for n in range(3, 51) if n & (n - 1)])
     def test_seeded_readouts(self, n, monkeypatch):
         for y in valid_bases(n):
             inst = PeriodInstance(n, y)
-            state, steps, tau = _amplified_state(inst, 1 << 26)
-            reference = dense_amplified_state(inst, 1 << 26)
-            assert (steps, tau) == reference[1:]
-            assert np.max(np.abs(state.amplitudes - reference[0].amplitudes)) < 1e-15
+            p, steps = _amplified_distribution(inst, 1 << 26)
+            state, dense_steps, tau = dense_amplified_state(inst)
+            assert (steps, inst.search.n_marked) == (dense_steps, tau)
+            dense_p = state.probabilities()
+            dense_p /= dense_p.sum()
+            assert np.max(np.abs(p - dense_p)) < 1e-15
             for seed in range(5):
                 reduced = grover_period(inst, np.random.default_rng(seed))
                 with monkeypatch.context() as patch:
-                    patch.setattr(period, "_amplified_state", lambda *_: reference)
+                    patch.setattr(period, "_amplified_distribution",
+                                  lambda *_: (dense_p, dense_steps))
                     assert grover_period(inst, np.random.default_rng(seed)) == reduced
-                fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
-                assert [measure_register(state, 0, fast)[0] for _ in range(3)] == \
-                    [measure_register(reference[0], 0, slow)[0] for _ in range(3)]
 
 
 def measured_grover_period(inst, rng, samples, max_rounds):
     """grover_period with each readout a measure_register collapse of the
-    amplified state: the reference for its draws from |amps|^2."""
-    state, steps, _ = _amplified_state(inst, 1 << 26)
+    statevector loop's amplified state: the reference for its draws from
+    the two-amplitude distribution."""
+    state, steps, _ = dense_amplified_state(inst)
     oracle_calls = measurements = 0
     for round_index in range(1, max_rounds + 1):
         outcomes = []

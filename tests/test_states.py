@@ -127,14 +127,9 @@ class TestInvertAboutAverage:
         twice = invert_about_average(invert_about_average(state))
         assert np.allclose(twice.amplitudes, state.amplitudes, atol=1e-12)
 
-    def test_pair_acts_per_second_register_value(self):
-        rng = np.random.default_rng(9)
-        amps = rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))
-        amps /= np.linalg.norm(amps)
-        state = StateVector(amps.ravel(), (4, 3))
-        expected = 2.0 * amps.mean(axis=0)[None, :] - amps
-        result = invert_about_average(state).as_matrix()
-        assert np.allclose(result, expected, atol=1e-14)
+    def test_pair_state_is_rejected(self):
+        with pytest.raises(ValueError, match="acts on a single register"):
+            invert_about_average(StateVector(np.full(12, 1 / np.sqrt(12)), (4, 3)))
 
 
 class TestQFT:
