@@ -199,21 +199,23 @@ def cmd_geodesic_check(n_items: int, config: RunConfig) -> int:
                        "resampled path")
     sim = recursion_trajectory(inst, last_step) ** 2
 
-    targets = [(phi_of_step(inst, j), j) for j in range(last_step + 1)]
-    if targets[-1][0] < np.pi / 2 - 1e-12:
-        targets.append((np.pi / 2, None))
+    # Target j <= last_step is recursion step j; a last target pi/2 follows
+    # when the final step falls short of it.
+    targets = [phi_of_step(inst, j) for j in range(last_step + 1)]
+    if targets[-1] < np.pi / 2 - 1e-12:
+        targets.append(np.pi / 2)
     # Per-item probabilities are class probabilities over class size.
     sizes = inst.class_sizes
-    analytic = class_path([min(phi, np.pi / 2) for phi, _ in targets]).probs / sizes
+    analytic = class_path([min(phi, np.pi / 2) for phi in targets]).probs / sizes
     uniform = np.sqrt(sizes) / np.sqrt(n_items)
     state = GeodesicState(uniform, np.array([np.cos(theta), -np.sin(theta)]), theta)
-    dev_sim = dev_analytic = 0.0
-    for (phi_target, j), expected in zip(targets, analytic):
+    finals = []
+    for phi_target in targets:
         state = integrate_geodesic(state, 4.0, phi_target, GEODESIC_DT)[-1]
-        probs = state.x**2 / sizes
-        dev_analytic = max(dev_analytic, float(np.max(np.abs(probs - expected))))
-        if j is not None:
-            dev_sim = max(dev_sim, float(np.max(np.abs(probs - sim[j]))))
+        finals.append(state.x)
+    probs = np.array(finals)**2 / sizes
+    dev_analytic = float(np.max(np.abs(probs - analytic)))
+    dev_sim = float(np.max(np.abs(probs[:len(sim)] - sim)))
 
     fine = amplification_path(inst, dphi)
     fisher = fisher_discrete(fine).fisher

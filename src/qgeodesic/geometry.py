@@ -11,6 +11,9 @@ changes (where sqrt(p) would have a kink).
 
 from __future__ import annotations
 
+import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +31,34 @@ class GeodesicState:
     x: np.ndarray
     xdot: np.ndarray
     phi: float
+
+
+@dataclass(frozen=True, eq=False)
+class GeodesicTrajectory(Sequence):
+    """The states of one :func:`integrate_geodesic` run, held as arrays.
+
+    ``phis`` has shape (n,), ``x`` and ``xdot`` shape (n, dim), all three
+    read-only.  As a sequence of :class:`GeodesicState` it builds each state
+    on demand from one row of each array, with ``phi`` a Python float;
+    slices are trajectories over views of the same arrays.
+    """
+
+    phis: np.ndarray
+    x: np.ndarray
+    xdot: np.ndarray
+
+    def __len__(self) -> int:
+        return self.phis.shape[0]
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return GeodesicTrajectory(self.phis[index], self.x[index], self.xdot[index])
+        i = operator.index(index)  # as for a list: no bools-as-masks, tuples or arrays
+        return GeodesicState(self.x[i], self.xdot[i], float(self.phis[i]))
+
+    def __iter__(self):
+        for x, xdot, phi in zip(self.x, self.xdot, self.phis.tolist()):
+            yield GeodesicState(x, xdot, phi)
 
 
 @dataclass(frozen=True)
@@ -206,31 +237,33 @@ def geodesic_residual_profile(path: ProbabilityPath) -> tuple[np.ndarray, np.nda
 
 def integrate_geodesic(
     init: GeodesicState, fisher_const: float, phi_end: float, dt: float
-) -> list[GeodesicState]:
+) -> GeodesicTrajectory:
     """Integrate the constant-Fisher oscillator xddot = -(fisher/4) x.
 
     Classic fixed-step fourth-order Runge-Kutta, applied as the linear
     propagator it reduces to here; the final partial step is shortened to
-    land on phi_end.  Exact solution for comparison:
+    land on phi_end.  Returns every state, the initial one first, as a
+    :class:`GeodesicTrajectory`.  Exact solution for comparison:
     x(phi) = x0 cos(w dphi) + (xdot0 / w) sin(w dphi) with w = sqrt(F)/2.
     """
-    if not np.isfinite(dt) or dt <= 0:
+    if not math.isfinite(dt) or dt <= 0:
         raise ValueError(f"dt must be positive and finite, got {dt}")
-    if not np.isfinite(fisher_const) or fisher_const <= 0:
+    if not math.isfinite(fisher_const) or fisher_const <= 0:
         raise ValueError(f"fisher_const must be positive, got {fisher_const}")
     x = np.asarray(init.x, dtype=np.float64)
     v = np.asarray(init.xdot, dtype=np.float64)
     if x.ndim != 1 or x.shape != v.shape:
         raise ValueError(f"x and xdot must be vectors of one length, got shapes "
                          f"{x.shape} and {v.shape}")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(v))
-            and np.isfinite(init.phi) and np.isfinite(phi_end)):
+    phi0, phi_end = float(init.phi), float(phi_end)
+    if not (np.isfinite(x).all() and np.isfinite(v).all()
+            and math.isfinite(phi0) and math.isfinite(phi_end)):
         raise ValueError("non-finite input to geodesic integrator")
     if abs(float(np.sum(x * x)) - 1.0) > 1e-8:
         raise ValueError("initial amplitudes must satisfy sum x^2 = 1")
     if abs(float(np.sum(x * v))) > 1e-8:
         raise ValueError("initial velocity must be tangent: sum x*xdot = 0")
-    if phi_end < init.phi:
+    if phi_end < phi0:
         raise ValueError("phi_end must be >= the initial phi")
 
     omega_sq = fisher_const / 4.0
@@ -245,15 +278,15 @@ def integrate_geodesic(
         s = h * (1.0 - z / 6.0)
         return s, z / 2.0 - z * z / 24.0, omega_sq * s
 
-    phi0 = float(init.phi)
     span = phi_end - phi0
-    n_full = int(np.floor(span / dt + 1e-9))
+    n_full = math.floor(span / dt + 1e-9)
     remainder = span - n_full * dt
-    steps = [rk4(dt)] * n_full
-    phis = [phi0] + [phi0 + k * dt for k in range(1, n_full + 1)]
-    if remainder > 1e-12 * max(1.0, span):
-        steps.append(rk4(remainder))
-        phis.append(float(phi_end))
+    partial = remainder > 1e-12 * max(1.0, span)
+    phis = np.empty(n_full + 1 + partial)
+    phis[0] = phi0
+    phis[1:n_full + 1] = phi0 + np.arange(1, n_full + 1) * dt  # not a running sum
+    if partial:
+        phis[-1] = phi_end
 
     # Stepped on Python floats, one coordinate at a time, which is the
     # elementwise arithmetic of an array step without its per-step ufunc
@@ -264,18 +297,26 @@ def integrate_geodesic(
     inverse = [slots.setdefault(key, len(slots))
                for key in zip(x.view(np.int64).tolist(), v.view(np.int64).tolist())]
     pairs = np.array(list(slots), dtype=np.int64).view(np.float64)
+    s, a, w = rk4(dt)
+    s_last, a_last, w_last = rk4(remainder)
     xs, vs = [], []
     for xi, vi in pairs.tolist():
         x_run, v_run = [xi], [vi]
-        for s, a, w in steps:
+        x_add, v_add = x_run.append, v_run.append
+        for _ in range(n_full):
             xi, vi = xi + (s * vi - a * xi), vi - (a * vi + w * xi)
-            x_run.append(xi)
-            v_run.append(vi)
+            x_add(xi)
+            v_add(vi)
+        if partial:
+            x_add(xi + (s_last * vi - a_last * xi))
+            v_add(vi - (a_last * vi + w_last * xi))
         xs.append(x_run)
         vs.append(v_run)
     x_rows = np.array(xs).T.take(inverse, axis=1)
     v_rows = np.array(vs).T.take(inverse, axis=1)
-    return [GeodesicState(xk, vk, phi) for xk, vk, phi in zip(x_rows, v_rows, phis)]
+    for array in (phis, x_rows, v_rows):
+        array.flags.writeable = False
+    return GeodesicTrajectory(phis, x_rows, v_rows)
 
 
 def input_information(path: ProbabilityPath, phi0: float) -> float:

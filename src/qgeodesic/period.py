@@ -32,7 +32,7 @@ from .grover import (
     optimal_iterations,
     recursion_trajectory,
 )
-from .states import StateVector, measure_register, qft, require_amplitudes
+from .states import StateVector, measure_register, require_amplitudes
 
 DEFAULT_MEMORY_CAP = 1 << 26  # complex amplitudes
 
@@ -232,9 +232,13 @@ def shor_sample(
     column = table == l
     amps = np.zeros(q, dtype=np.complex128)
     amps[column] = 1.0 / np.sqrt(np.count_nonzero(column))
-    # The readout distribution of measure_register, without its collapse.
-    p = np.abs(qft(StateVector(amps)).amplitudes) ** 2
-    c = int(rng.choice(q, p=p / p.sum()))
+    # The readout distribution of measure_register, without its collapse:
+    # qft's transform, taken in place, and |c|^2 normalised in place.
+    amps = StateVector(np.fft.ifft(amps, norm="ortho", out=amps)).amplitudes
+    p = np.abs(amps)
+    np.square(p, out=p)
+    p /= p.sum()
+    c = int(rng.choice(q, p=p))
     return l, c
 
 

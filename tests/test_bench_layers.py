@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from qgeodesic import cli
+from qgeodesic import cli, geometry
 
 LAYERS = Path(__file__).resolve().parents[1] / "bench" / "layers.py"
 
@@ -77,3 +77,25 @@ def test_shor_samples_are_counted(layers, capsys):
     metrics = tracer.metrics()
     assert metrics["period.shor_sample.calls"] == attempts == 2
     assert metrics["period.shor.useful_ratio"] == 0.5
+
+
+def test_integrator_counts_match_the_trajectories(layers, monkeypatch, capsys):
+    """The tracer's step and cell counts for geodesic-check 4 equal the
+    totals over the trajectories the integrator returned."""
+    trajectories = []
+    integrate = geometry.integrate_geodesic
+
+    def recording(*args):
+        trajectories.append(integrate(*args))
+        return trajectories[-1]
+
+    for module in (geometry, cli):
+        monkeypatch.setattr(module, "integrate_geodesic", recording)
+    with layers.Tracer() as tracer:
+        assert cli.main(["geodesic-check", "4"]) == 0
+    capsys.readouterr()
+    assert trajectories
+    assert tracer.counts["geometry.integrate_geodesic.steps"] == \
+        sum(len(t.phis) - 1 for t in trajectories)
+    assert tracer.counts["geometry.integrate_geodesic.cells"] == \
+        sum(t.x.size for t in trajectories)

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qgeodesic import GroverInstance, action, cli, phi_of_step
+from qgeodesic import GeodesicState, GroverInstance, action, cli, phi_of_step
 from qgeodesic.cli import _emit, _fine_grid, _parse_marked, main
 from qgeodesic.grover import class_path
 
@@ -158,6 +158,23 @@ class TestGeodesicCheck:
 
     def test_degenerate_instance_exits_2(self):
         assert run(["geodesic-check", "1"]) == 2
+
+    def test_one_state_per_segment(self, monkeypatch, capsys):
+        # N = 8192: the targets of recursion steps 0..70 plus the final
+        # pi/2 make 72 segments of about 217 RK4 steps; the command builds
+        # the initial state and reads the last state of each segment,
+        # nothing per step.
+        built = []
+        init = GeodesicState.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(GeodesicState, "__init__", counting)
+        assert run(["geodesic-check", "8192"]) == 0
+        capsys.readouterr()
+        assert 0 < len(built) <= 72 + 1
 
 
 class TestFactorCommand:

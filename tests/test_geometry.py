@@ -1,5 +1,7 @@
 """Fisher estimation, metric identities, geodesic residuals, integration."""
 
+from collections.abc import Sequence
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from qgeodesic import (
     GeodesicState,
+    GeodesicTrajectory,
     GroverInstance,
     ProbabilityPath,
     StateVector,
@@ -438,6 +441,58 @@ class TestIntegrateGeodesic:
             assert state.x.shape == state.xdot.shape == (dim,)
             assert state.x.tobytes() == ref_x.tobytes()
             assert state.xdot.tobytes() == ref_v.tobytes()
+        ref_xs, ref_vs, ref_phis = (np.array(column) for column in zip(*reference))
+        assert states.phis.tobytes() == ref_phis.tobytes()
+        assert states.x.tobytes() == ref_xs.tobytes()
+        assert states.xdot.tobytes() == ref_vs.tobytes()
+
+    def test_trajectory_contract(self):
+        init = self.grover_initial(6)
+        traj = integrate_geodesic(init, 4.0, init.phi + 0.105, 1e-2)  # partial last step
+        n = len(traj)
+        assert n == 12
+        assert isinstance(traj, GeodesicTrajectory) and isinstance(traj, Sequence)
+        assert traj.phis.shape == (n,)
+        assert traj.x.shape == traj.xdot.shape == (n, 6)
+        for array in (traj.phis, traj.x, traj.xdot, traj[3].x, traj[3].xdot):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+        first, last = traj[0], traj[-1]
+        assert first.phi == init.phi
+        assert first.x.tobytes() == init.x.tobytes()
+        assert first.xdot.tobytes() == init.xdot.tobytes()
+        assert last.phi == init.phi + 0.105
+        assert last.x.tobytes() == traj[n - 1].x.tobytes() == traj.x[-1].tobytes()
+        with pytest.raises(IndexError):
+            traj[n]
+        with pytest.raises(TypeError):
+            traj[0, 1]
+        assert traj[True].phi == traj[1].phi
+        states = list(traj)
+        assert len(states) == n
+        for i, state in enumerate(states):
+            indexed = traj[i - n]
+            assert isinstance(state, GeodesicState)
+            assert type(state.phi) is float and type(indexed.phi) is float
+            assert state.phi == indexed.phi == traj.phis[i]
+            assert state.x.tobytes() == indexed.x.tobytes() == traj.x[i].tobytes()
+            assert state.xdot.tobytes() == indexed.xdot.tobytes() == traj.xdot[i].tobytes()
+        for index in (slice(None, None, 3), slice(-4, None), slice(2, 9, 2)):
+            part = traj[index]
+            assert isinstance(part, GeodesicTrajectory)
+            assert len(part) == len(range(n)[index])
+            assert part.phis.tobytes() == traj.phis[index].tobytes()
+            assert part.x.tobytes() == traj.x[index].tobytes()
+            assert part.xdot.tobytes() == traj.xdot[index].tobytes()
+            assert [s.phi for s in part] == traj.phis[index].tolist()
+
+    def test_zero_span_is_the_initial_state(self):
+        init = self.grover_initial(4)
+        traj = integrate_geodesic(init, 4.0, init.phi, 1e-3)
+        assert len(traj) == 1
+        assert traj.x.shape == traj.xdot.shape == (1, 4)
+        assert traj[-1].x.tobytes() == init.x.tobytes()
 
     def test_input_validation(self):
         good = self.grover_initial(4)

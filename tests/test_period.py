@@ -3,6 +3,7 @@
 import functools
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 from importlib import resources
 
@@ -35,7 +36,7 @@ from qgeodesic import (
     shor_project,
     shor_sample,
 )
-from qgeodesic import period
+from qgeodesic import StateVector, period
 from qgeodesic.period import (
     PeriodResult,
     _amplified_distribution,
@@ -174,6 +175,18 @@ def assert_same_draws(n, y, seed):
         assert shor_sample(inst, fast) == dense_shor_sample(inst, dense)
 
 
+class RecordingGenerator:
+    """A seeded generator's ``choice`` that keeps every ``p`` it is given."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.ps = []
+
+    def choice(self, a, p):
+        self.ps.append(p)
+        return self.rng.choice(a, p=p)
+
+
 class TestModexpTable:
     @pytest.mark.parametrize("n,y", SWEEP + [(91, 3), (143, 2), (221, 7), (323, 5)])
     def test_matches_builtin_pow(self, n, y):
@@ -227,6 +240,36 @@ class TestShorSampleMatchesDense:
     @given(st.sampled_from(SWEEP), st.integers(0, 2**63 - 1))
     def test_seeded_draws_property(self, case, seed):
         assert_same_draws(*case, seed)
+
+    @pytest.mark.parametrize("n,y", [(15, 2), (21, 5), (35, 2), (45, 7), (91, 3),
+                                     (143, 2), (221, 7)])
+    def test_readout_is_the_qft_of_the_column(self, n, y):
+        """The in-place transform gives, bit for bit, the normalised |c|^2
+        of qft on the projected column."""
+        inst = PeriodInstance(n, y)
+        for seed in range(3):
+            rng = RecordingGenerator(seed)
+            l, _ = shor_sample(inst, rng)
+            column = inst.table == l
+            amps = np.zeros(inst.register_size, dtype=np.complex128)
+            amps[column] = 1.0 / np.sqrt(np.count_nonzero(column))
+            expected = np.abs(qft(StateVector(amps)).amplitudes) ** 2
+            assert rng.ps[1].tobytes() == (expected / expected.sum()).tobytes()
+
+    def test_peak_is_the_column_and_its_distribution(self):
+        # q = 2^20: the charged register is q complex amplitudes (16 MiB).
+        # One call transforms the column in place and holds the q-long
+        # float distribution beside it; the modexp table is built before.
+        inst = PeriodInstance(1023, 1022)
+        assert inst.register_size == 1 << 20
+        inst.table
+        tracemalloc.start()
+        try:
+            shor_sample(inst, np.random.default_rng(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.25 * (1 << 20) * 16, f"peak {peak / 2**20:.1f} MiB"
 
     def test_needs_q_amplitudes_not_q_times_n(self):
         inst = PeriodInstance(15, 2)
