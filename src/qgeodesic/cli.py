@@ -22,7 +22,7 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
+from dataclasses import asdict
 
 import numpy as np
 
@@ -45,6 +45,7 @@ from .grover import (
 )
 from .period import (
     DEFAULT_MEMORY_CAP,
+    FORMAT_VERSION,
     GROVER_ADIABATIC,
     SHOR,
     PeriodInstance,
@@ -59,35 +60,11 @@ EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
 GEODESIC_DT = 1e-4
-FORMAT_VERSION = 1
 
 TRACE_COLUMNS = (
     "step", "phi", "p_marked", "p_unmarked",
     "fisher_estimate", "geodesic_residual_max", "action_cumulative",
 )
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Reproducibility knobs shared by the subcommands."""
-
-    seed: int | None
-    output_path: str | None
-    format: str
-    sampling_dphi: float
-    memory_cap: int
-    budget: int
-    samples: int
-
-    def __post_init__(self):
-        if not 0.0 < self.sampling_dphi <= 0.1:
-            raise ValueError(f"dphi must lie in (0, 0.1], got {self.sampling_dphi}")
-        if self.memory_cap < 1:
-            raise ValueError(f"memory cap must be positive, got {self.memory_cap}")
-        if self.budget < 1:
-            raise ValueError(f"budget must be >= 1, got {self.budget}")
-        if self.samples < 2:
-            raise ValueError(f"samples must be >= 2, got {self.samples}")
 
 
 def _fmt(value: float) -> str:
@@ -142,18 +119,19 @@ def _fine_grid(phi_lo: float, phi_hi: float, dphi: float) -> np.ndarray:
     return np.linspace(start, end, count)
 
 
-def cmd_grover_trace(n_items: int, marked: list[int], steps: int, config: RunConfig) -> int:
+def cmd_grover_trace(args: argparse.Namespace) -> int:
     """Write the per-step trajectory table of a search run."""
+    steps = args.steps
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
-    require_amplitudes(n_items, config.memory_cap, "statevector")
-    inst = GroverInstance(n_items, marked)
-    require_amplitudes((steps + 1) * 2, config.memory_cap, "trajectory")
+    require_amplitudes(args.n_items, args.memory_cap, "statevector")
+    inst = GroverInstance(args.n_items, args.marked)
+    require_amplitudes((steps + 1) * 2, args.memory_cap, "trajectory")
     sizes = inst.class_sizes
     p_marked, p_unmarked = (sizes * recursion_trajectory(inst, steps) ** 2).T
 
-    grid = _fine_grid(inst.theta, phi_of_step(inst, steps), config.sampling_dphi)
-    require_amplitudes(grid.size * 2, config.memory_cap, "resampled path")
+    grid = _fine_grid(inst.theta, phi_of_step(inst, steps), args.dphi)
+    require_amplitudes(grid.size * 2, args.memory_cap, "resampled path")
     fine = class_path(grid)
     fisher = fisher_discrete(fine).fisher
     # Per-item residual: the class residual over sqrt(class size).
@@ -177,25 +155,24 @@ def cmd_grover_trace(n_items: int, marked: list[int], steps: int, config: RunCon
                 np.interp(phi, fine.phis, cumulative) - action_origin),
         })
 
-    if config.format == "csv":
-        _emit(_trace_csv(rows), config.output_path)
+    if args.format == "csv":
+        _emit(_trace_csv(rows), args.out)
     else:
-        _emit(_json_text({"format_version": FORMAT_VERSION, "rows": rows}),
-              config.output_path)
+        _emit(_json_text({"format_version": FORMAT_VERSION, "rows": rows}), args.out)
     return EXIT_OK
 
 
-def cmd_geodesic_check(n_items: int, config: RunConfig) -> int:
+def cmd_geodesic_check(args: argparse.Namespace) -> int:
     """Integrate the oscillator reduction on the two class coordinates and
     compare it against the analytic path and the recursion; write a JSON
     report."""
-    require_amplitudes(n_items, config.memory_cap, "statevector")
+    n_items, dphi = args.n_items, args.dphi
+    require_amplitudes(n_items, args.memory_cap, "statevector")
     inst = GroverInstance(n_items, [0])
     theta = inst.theta
-    dphi = config.sampling_dphi
     # The trajectory, 2 (last_step + 1) <= N cells, fits wherever N does.
     last_step = max(0, int(np.floor((np.pi / (2 * theta) - 1) / 2 + 1e-12)))
-    require_amplitudes(amplification_samples(inst, dphi) * 2, config.memory_cap,
+    require_amplitudes(amplification_samples(inst, dphi) * 2, args.memory_cap,
                        "resampled path")
     sim = recursion_trajectory(inst, last_step) ** 2
 
@@ -254,31 +231,19 @@ def cmd_geodesic_check(n_items: int, config: RunConfig) -> int:
         "checks": checks,
         "passed": passed,
     }
-    _emit(_json_text(report), config.output_path)
+    _emit(_json_text(report), args.out)
     return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
-def cmd_factor(n: int, method: str, config: RunConfig) -> int:
+def cmd_factor(args: argparse.Namespace) -> int:
     """Factor N with the chosen period finder; print the pair and counters."""
-    rng = np.random.default_rng(config.seed)
-    result = factor(n, method, rng, budget=config.budget,
-                    samples=config.samples, memory_cap=config.memory_cap)
-    document = {
-        "format_version": FORMAT_VERSION,
-        "modulus": n,
-        "method": method,
-        "seed": config.seed,
-        "budget": config.budget,
-        "samples": config.samples,
-        "succeeded": result.succeeded,
-        "factors": list(result.factors) if result.factors else None,
-        "classical_route": result.classical_route,
-        "attempts": result.attempts,
-        "oracle_calls": result.oracle_calls,
-        "measurements": result.measurements,
-    }
-    if config.output_path is not None:
-        _emit(_json_text(document), config.output_path)
+    n, method = args.modulus, args.method
+    result = factor(n, method, np.random.default_rng(args.seed), budget=args.budget,
+                    samples=args.samples, memory_cap=args.memory_cap)
+    if args.out is not None:
+        _emit(_json_text({**asdict(result), "format_version": FORMAT_VERSION,
+                          "seed": args.seed, "budget": args.budget,
+                          "samples": args.samples}), args.out)
     if result.classical_route is not None:
         note = f" (trivial factor {result.factors[0]})" if result.factors else ""
         print(f"error: {n} is {result.classical_route}; not a valid target{note}",
@@ -294,13 +259,13 @@ def cmd_factor(n: int, method: str, config: RunConfig) -> int:
     return EXIT_CHECK_FAILED
 
 
-def cmd_compare(n: int, base: int, config: RunConfig) -> int:
+def cmd_compare(args: argparse.Namespace) -> int:
     """Write the side-by-side period-finding report for (N, y)."""
     report = compare_methods(
-        PeriodInstance(n, base), config.seed, samples=config.samples,
-        shor_attempts=config.budget, grover_rounds=config.budget,
-        trace_dphi=config.sampling_dphi, memory_cap=config.memory_cap)
-    _emit(_json_text(report.to_dict()), config.output_path)
+        PeriodInstance(args.modulus, args.base), args.seed, samples=args.samples,
+        shor_attempts=args.budget, grover_rounds=args.budget,
+        trace_dphi=args.dphi, memory_cap=args.memory_cap)
+    _emit(_json_text(report.to_dict()), args.out)
     ok = all(rep.succeeded for rep in report.methods.values())
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
@@ -324,6 +289,15 @@ _OPTIONS = {
                     help="readouts of the amplified state per round"),
 }
 
+# Option checks, run in this order before any command; a command without
+# the option skips its check.
+_CHECKS = (
+    ("dphi", lambda v: 0.0 < v <= 0.1, "dphi must lie in (0, 0.1], got {}"),
+    ("memory_cap", lambda v: v >= 1, "memory cap must be positive, got {}"),
+    ("budget", lambda v: v >= 1, "budget must be >= 1, got {}"),
+    ("samples", lambda v: v >= 2, "samples must be >= 2, got {}"),
+)
+
 
 @functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
@@ -333,36 +307,40 @@ def build_parser() -> argparse.ArgumentParser:
         prog="qgeodesic",
         description="Search and period-finding simulations with "
                     "information-geometric diagnostics.")
-    # Options a subcommand does not read keep these defaults.
-    parser.set_defaults(**{name.replace("-", "_"): spec.get("default")
-                           for name, spec in _OPTIONS.items()})
     sub = parser.add_subparsers(dest="command", required=True)
 
     def options(p, *names):
         for name in names:
             p.add_argument(f"--{name}", **_OPTIONS[name])
 
+    # Each subcommand names its handler; main looks the name up when it
+    # runs, so a rebinding of cmd_* in this module (a tracer's wrapper, a
+    # test's monkeypatch) reaches the cached parser.
     p_trace = sub.add_parser("grover-trace", help="per-step search trajectory table")
     p_trace.add_argument("n_items", type=int)
     p_trace.add_argument("--marked", required=True, type=_parse_marked,
                          metavar="I[,J,...]", help="marked basis indices")
     p_trace.add_argument("--steps", required=True, type=int)
     options(p_trace, "out", "format", "dphi", "memory-cap")
+    p_trace.set_defaults(run="cmd_grover_trace")
 
     p_geo = sub.add_parser("geodesic-check",
                            help="oscillator integration vs path and simulation")
     p_geo.add_argument("n_items", type=int)
     options(p_geo, "out", "dphi", "memory-cap")
+    p_geo.set_defaults(run="cmd_geodesic_check")
 
     p_factor = sub.add_parser("factor", help="factor an odd composite")
     p_factor.add_argument("modulus", type=int)
     p_factor.add_argument("--method", choices=(SHOR, GROVER_ADIABATIC), required=True)
     options(p_factor, "out", "seed", "memory-cap", "budget", "samples")
+    p_factor.set_defaults(run="cmd_factor")
 
     p_cmp = sub.add_parser("compare", help="projection vs amplification report")
     p_cmp.add_argument("modulus", type=int)
     p_cmp.add_argument("base", type=int)
     options(p_cmp, "out", "seed", "dphi", "memory-cap", "budget", "samples")
+    p_cmp.set_defaults(run="cmd_compare")
 
     return parser
 
@@ -371,29 +349,21 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = RunConfig(
-            seed=args.seed,
-            output_path=args.out,
-            format=args.format,
-            sampling_dphi=args.dphi,
-            memory_cap=args.memory_cap,
-            budget=args.budget,
-            samples=args.samples,
-        )
-        if args.command == "grover-trace":
-            return cmd_grover_trace(args.n_items, args.marked, args.steps, config)
-        if args.command == "geodesic-check":
-            return cmd_geodesic_check(args.n_items, config)
-        if args.command == "factor":
-            return cmd_factor(args.modulus, args.method, config)
-        if args.command == "compare":
-            return cmd_compare(args.modulus, args.base, config)
-        raise AssertionError(f"unhandled command {args.command!r}")
+        given = vars(args)
+        for name, valid, message in _CHECKS:
+            if name in given and not valid(given[name]):
+                raise ValueError(message.format(given[name]))
+        return globals()[args.run](args)
     except (ResourceLimitError, MemoryError) as exc:
         print(f"resource error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_RESOURCE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except OSError as exc:
+        if args.out is None:  # the one file a command opens is its --out
+            raise
+        print(f"error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -35,6 +35,7 @@ from .grover import (
 from .states import StateVector, measure_register, require_amplitudes
 
 DEFAULT_MEMORY_CAP = 1 << 26  # complex amplitudes
+FORMAT_VERSION = 1  # of every JSON document and the trace CSV
 
 SHOR = "shor"
 GROVER_ADIABATIC = "grover-adiabatic"
@@ -66,11 +67,11 @@ def default_register_size(modulus: int) -> int:
 @dataclass(frozen=True)
 class PeriodInstance:
     """Order-finding problem: base y modulo N with a q-dimensional argument
-    register, N^2 < q < 2 N^2 and q a power of two."""
+    register, q the power of two in (N^2, 2 N^2)."""
 
     modulus: int
     base: int
-    register_size: int = 0
+    register_size: int = field(init=False)
 
     def __post_init__(self):
         n, y = self.modulus, self.base
@@ -80,13 +81,7 @@ class PeriodInstance:
             raise ValueError(f"base must satisfy 1 < y < {n}, got {y}")
         if math.gcd(y, n) != 1:
             raise ValueError(f"base and modulus must be coprime: gcd({y}, {n}) > 1")
-        q = self.register_size or default_register_size(n)
-        if q & (q - 1) != 0:
-            raise ValueError(f"register size must be a power of two, got {q}")
-        if not n * n < q < 2 * n * n:
-            raise ValueError(
-                f"register size {q} outside ({n * n}, {2 * n * n})")
-        object.__setattr__(self, "register_size", q)
+        object.__setattr__(self, "register_size", default_register_size(n))
 
     @functools.cached_property
     def table(self) -> np.ndarray:
@@ -341,14 +336,33 @@ def grover_period(
         GROVER_ADIABATIC, None, oracle_calls, measurements, max_rounds, False)
 
 
+# Strong-probable-prime bases: together they admit no composite below
+# 3.3 * 10^24 (Sorenson and Webster, 2015), past every modulus simulated.
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def _is_prime(n: int) -> bool:
+    """Miller-Rabin on :data:`_WITNESSES`: exact for n < 3.3 * 10^24, and
+    beyond that wrong only for a composite that all 13 bases pass."""
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for p in _WITNESSES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1 if d == 2 else 2
     return True
 
 
@@ -464,22 +478,6 @@ def factor(
 
 
 @dataclass(frozen=True)
-class MethodReport:
-    """Per-method slice of a comparison run."""
-
-    method: str
-    succeeded: bool
-    period: int | None
-    oracle_calls: int
-    measurements: int
-    projective_measurements: int
-    attempts: int
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
-@dataclass(frozen=True)
 class ComparisonReport:
     """Both period finders on one instance, plus the Fisher trace of the
     amplification path demonstrating its constancy."""
@@ -488,21 +486,24 @@ class ComparisonReport:
     modulus: int
     base: int
     register_size: int
-    methods: dict[str, MethodReport]
+    methods: dict[str, PeriodResult]
     fisher_phis: list[float]
     fisher_values: list[float]
-    format_version: int = 1
 
     def to_dict(self) -> dict:
+        """The JSON document; each method also reports its measurements as
+        ``projective_measurements``."""
         return {
-            "format_version": self.format_version,
+            "format_version": FORMAT_VERSION,
             "seed": self.seed,
             "instance": {
                 "modulus": self.modulus,
                 "base": self.base,
                 "register_size": self.register_size,
             },
-            "methods": {name: rep.to_dict() for name, rep in self.methods.items()},
+            "methods": {name: {**asdict(result),
+                               "projective_measurements": result.measurements}
+                        for name, result in self.methods.items()},
             "fisher_trace": {
                 "phi": list(self.fisher_phis),
                 "fisher": list(self.fisher_values),
@@ -545,21 +546,12 @@ def compare_methods(
         inst, np.random.default_rng(children[1]),
         samples=samples, max_rounds=grover_rounds, memory_cap=memory_cap)
     phis, values = _fisher_trace(inst, trace_dphi, memory_cap)
-    methods = {
-        SHOR: MethodReport(
-            SHOR, shor_res.succeeded, shor_res.period, shor_res.oracle_calls,
-            shor_res.measurements, shor_res.measurements, shor_res.attempts),
-        GROVER_ADIABATIC: MethodReport(
-            GROVER_ADIABATIC, grover_res.succeeded, grover_res.period,
-            grover_res.oracle_calls, grover_res.measurements,
-            grover_res.measurements, grover_res.attempts),
-    }
     return ComparisonReport(
         seed=seed,
         modulus=inst.modulus,
         base=inst.base,
         register_size=inst.register_size,
-        methods=methods,
+        methods={SHOR: shor_res, GROVER_ADIABATIC: grover_res},
         fisher_phis=phis,
         fisher_values=values,
     )

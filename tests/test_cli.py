@@ -1,10 +1,12 @@
 """Command-line behavior: outputs, formats, exit codes, determinism."""
 
+import errno
 import json
 import os
 import stat
 import subprocess
 import sys
+import time
 import tracemalloc
 from importlib import resources
 from pathlib import Path
@@ -323,6 +325,13 @@ class TestParserReuse:
             assert reused == self.fresh(args, tmp_path / f"fresh{index}")
             assert reused[0] == code
 
+    def test_handlers_are_looked_up_when_they_run(self, monkeypatch):
+        # a rebinding after the parser is cached (as the benchmark's tracer
+        # does) is the handler that runs
+        cli.build_parser()
+        monkeypatch.setattr(cli, "cmd_geodesic_check", lambda args: 7)
+        assert main(["geodesic-check", "4"]) == 7
+
 
 class TestStdoutFallback:
     def test_trace_to_stdout(self, capsys):
@@ -349,6 +358,42 @@ class TestDroppedFlags:
         with pytest.raises(SystemExit) as exc:
             run(args)
         assert exc.value.code == 2
+
+
+class TestOptionChecks:
+    """Bad option values exit 2 with one message, checked in the order
+    dphi, memory cap, budget, samples whatever the order on the command
+    line; each command checks only the options it takes."""
+
+    BASE = {
+        "grover-trace": ["grover-trace", "4", "--marked", "0", "--steps", "1"],
+        "geodesic-check": ["geodesic-check", "4"],
+        "factor": ["factor", "15", "--method", "shor", "--seed", "1"],
+        "compare": ["compare", "15", "2", "--seed", "1"],
+    }
+
+    CASES = [
+        *[(cmd, ["--dphi", value], f"dphi must lie in (0, 0.1], got {shown}")
+          for cmd in ("grover-trace", "geodesic-check", "compare")
+          for value, shown in (("0", "0.0"), ("0.5", "0.5"), ("nan", "nan"))],
+        *[(cmd, ["--memory-cap", "0"], "memory cap must be positive, got 0")
+          for cmd in BASE],
+        *[(cmd, ["--budget", "0"], "budget must be >= 1, got 0")
+          for cmd in ("factor", "compare")],
+        *[(cmd, ["--samples", "1"], "samples must be >= 2, got 1")
+          for cmd in ("factor", "compare")],
+        ("compare", ["--budget", "0", "--dphi", "0"], "dphi must lie in (0, 0.1], got 0.0"),
+        *[(cmd, ["--samples", "1", "--budget", "0"], "budget must be >= 1, got 0")
+          for cmd in ("factor", "compare")],
+        *[(cmd, ["--samples", "0", "--memory-cap", "-3"], "memory cap must be positive, got -3")
+          for cmd in ("factor", "compare")],
+    ]
+
+    @pytest.mark.parametrize("command,options,message", CASES,
+                             ids=[" ".join([c, *o]) for c, o, _ in CASES])
+    def test_exits_2_with_the_first_failed_check(self, command, options, message, capsys):
+        assert run(self.BASE[command] + options) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 class TestResourceErrors:
@@ -430,6 +475,14 @@ class TestFactorModuli:
             "error: modulus of 1406 bits is beyond the simulator's signed "
             "64-bit range (N < 2^63)\n")
 
+    def test_large_prime_is_refused_without_trial_division(self, capsys):
+        # a 52-bit prime: trial division to sqrt(N) took seconds
+        start = time.perf_counter()
+        assert run(["factor", "4503599627370449", "--method", "shor", "--seed", "1"]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err == (
+            "error: 4503599627370449 is prime; not a valid target\n")
+
     @pytest.mark.parametrize("method", ["shor", "grover-adiabatic"])
     def test_modulus_beyond_int64_is_a_usage_error(self, method, capsys):
         assert run(["factor", str(2**63 + 1), "--method", method, "--seed", "1"]) == 2
@@ -473,3 +526,21 @@ class TestAtomicWrite:
         with pytest.raises(OSError, match="device lost"):
             _emit("row\n" * 1000, str(tmp_path / "r.csv"))
         assert os.listdir(tmp_path) == []
+
+
+class TestUnwritableOut:
+    """An --out that cannot be written exits 2 with one line naming it,
+    prints nothing on stdout and leaves no temp file."""
+
+    @pytest.mark.parametrize("args,target,code", [
+        (["geodesic-check", "4"], "missing/x.json", errno.ENOENT),
+        (["factor", "15", "--method", "shor", "--seed", "1"], "a-directory", errno.EISDIR),
+    ], ids=["missing-directory", "target-is-a-directory"])
+    def test_exits_2(self, tmp_path, capsys, args, target, code):
+        (tmp_path / "a-directory").mkdir()
+        path = str(tmp_path / target)
+        assert run(args + ["--out", path]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: cannot write {path}: {os.strerror(code)}\n")
+        assert os.listdir(tmp_path) == ["a-directory"]
+        assert os.listdir(tmp_path / "a-directory") == []

@@ -97,10 +97,6 @@ class TestPeriodInstance:
             PeriodInstance(15, 1)
         with pytest.raises(ValueError):
             PeriodInstance(2, 1)
-        with pytest.raises(ValueError):
-            PeriodInstance(15, 2, register_size=300)  # not a power of two
-        with pytest.raises(ValueError):
-            PeriodInstance(15, 2, register_size=128)  # below N^2
 
 
 class TestBuildRegister:
@@ -662,7 +658,8 @@ class TestCompareMethods:
         shor = report.methods[SHOR]
         grover = report.methods[GROVER_ADIABATIC]
         assert shor.period == 4 and grover.period == 4
-        assert shor.projective_measurements >= 2 * shor.attempts
+        projective = report.to_dict()["methods"][SHOR]["projective_measurements"]
+        assert projective >= 2 * shor.attempts
         assert grover.measurements == 3 * grover.attempts
         fisher = np.array(report.fisher_values)
         assert np.max(np.abs(fisher - 4.0)) < 1e-3
