@@ -38,10 +38,10 @@ from .geometry import (
 from .grover import (
     GroverInstance,
     amplification_path,
-    amplification_samples,
     class_path,
     phi_of_step,
     recursion_trajectory,
+    trace_path,
 )
 from .period import (
     DEFAULT_MEMORY_CAP,
@@ -110,15 +110,6 @@ def _trace_csv(rows: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _fine_grid(phi_lo: float, phi_hi: float, dphi: float) -> np.ndarray:
-    """Uniform grid at step <= dphi padded two steps beyond both ends, so
-    every requested phi is served by central difference stencils."""
-    start = max(0.0, phi_lo - 2 * dphi)
-    end = phi_hi + 2 * dphi
-    count = max(7, int(np.ceil((end - start) / dphi)) + 1)
-    return np.linspace(start, end, count)
-
-
 def cmd_grover_trace(args: argparse.Namespace) -> int:
     """Write the per-step trajectory table of a search run."""
     steps = args.steps
@@ -126,13 +117,10 @@ def cmd_grover_trace(args: argparse.Namespace) -> int:
         raise ValueError(f"steps must be >= 0, got {steps}")
     require_amplitudes(args.n_items, args.memory_cap, "statevector")
     inst = GroverInstance(args.n_items, args.marked)
-    require_amplitudes((steps + 1) * 2, args.memory_cap, "trajectory")
     sizes = inst.class_sizes
-    p_marked, p_unmarked = (sizes * recursion_trajectory(inst, steps) ** 2).T
+    p_marked, p_unmarked = (sizes * recursion_trajectory(inst, steps, args.memory_cap)**2).T
 
-    grid = _fine_grid(inst.theta, phi_of_step(inst, steps), args.dphi)
-    require_amplitudes(grid.size * 2, args.memory_cap, "resampled path")
-    fine = class_path(grid)
+    fine = trace_path(inst, steps, args.dphi, args.memory_cap)
     fisher = fisher_discrete(fine).fisher
     # Per-item residual: the class residual over sqrt(class size).
     res_phis = fine.phis[2:-2]
@@ -170,11 +158,9 @@ def cmd_geodesic_check(args: argparse.Namespace) -> int:
     require_amplitudes(n_items, args.memory_cap, "statevector")
     inst = GroverInstance(n_items, [0])
     theta = inst.theta
-    # The trajectory, 2 (last_step + 1) <= N cells, fits wherever N does.
     last_step = max(0, int(np.floor((np.pi / (2 * theta) - 1) / 2 + 1e-12)))
-    require_amplitudes(amplification_samples(inst, dphi) * 2, args.memory_cap,
-                       "resampled path")
-    sim = recursion_trajectory(inst, last_step) ** 2
+    fine = amplification_path(inst, dphi, args.memory_cap)
+    sim = recursion_trajectory(inst, last_step, args.memory_cap) ** 2
 
     # Target j <= last_step is recursion step j; a last target pi/2 follows
     # when the final step falls short of it.
@@ -194,7 +180,6 @@ def cmd_geodesic_check(args: argparse.Namespace) -> int:
     dev_analytic = float(np.max(np.abs(probs - analytic)))
     dev_sim = float(np.max(np.abs(probs[:len(sim)] - sim)))
 
-    fine = amplification_path(inst, dphi)
     fisher = fisher_discrete(fine).fisher
     act = action(fine, theta, np.pi / 2)
     dist = fubini_study_distance(StateVector(uniform), basis_state(2, 0))

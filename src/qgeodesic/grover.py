@@ -15,7 +15,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .paths import ProbabilityPath
-from .states import StateVector, invert_about_average, new_uniform, phase_flip
+from .states import (
+    DEFAULT_MEMORY_CAP,
+    StateVector,
+    invert_about_average,
+    new_uniform,
+    phase_flip,
+    require_amplitudes,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,11 +93,15 @@ def recursion_step(s: RecursionState, n_items: int, n_marked: int = 1) -> Recurs
     return RecursionState(k, l, s.step + 1)
 
 
-def recursion_trajectory(inst: GroverInstance, steps: int) -> np.ndarray:
+def recursion_trajectory(
+    inst: GroverInstance, steps: int, memory_cap: int = DEFAULT_MEMORY_CAP
+) -> np.ndarray:
     """Per-item amplitudes (k_j, l_j) of the marked and unmarked items for
-    j = 0..steps, from the uniform state; shape (steps + 1, 2)."""
+    j = 0..steps, from the uniform state; shape (steps + 1, 2), its cells
+    charged against ``memory_cap`` first."""
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
+    require_amplitudes((steps + 1) * 2, memory_cap, "trajectory")
     states = [RecursionState(1.0 / np.sqrt(inst.n_items), 1.0 / np.sqrt(inst.n_items))]
     for _ in range(steps):
         states.append(recursion_step(states[-1], inst.n_items, inst.n_marked))
@@ -121,16 +132,32 @@ def class_path(phis: np.ndarray) -> ProbabilityPath:
     return ProbabilityPath(phis, amps**2, amps)
 
 
-def amplification_samples(inst: GroverInstance, dphi: float) -> int:
-    """Row count of :func:`amplification_path`: step <= dphi, at least 5."""
-    return max(5, int(np.ceil((np.pi / 2 - inst.theta) / dphi)) + 1)
+def _resampled_class_path(
+    start: float, end: float, dphi: float, minimum: int, memory_cap: int
+) -> ProbabilityPath:
+    """The class path on a uniform grid from start to end at step <= dphi,
+    at least ``minimum`` rows; its rows * 2 cells are charged against
+    ``memory_cap`` before the grid is built."""
+    rows = max(minimum, int(np.ceil((end - start) / dphi)) + 1)
+    require_amplitudes(rows * 2, memory_cap, "resampled path")
+    return class_path(np.linspace(start, end, rows))
 
 
-def amplification_path(inst: GroverInstance, dphi: float) -> ProbabilityPath:
+def amplification_path(
+    inst: GroverInstance, dphi: float, memory_cap: int = DEFAULT_MEMORY_CAP
+) -> ProbabilityPath:
     """The class path from the uniform state at phi = theta to the solution
     at pi/2, resampled at step <= dphi (at least 5 samples)."""
-    return class_path(
-        np.linspace(inst.theta, np.pi / 2, amplification_samples(inst, dphi)))
+    return _resampled_class_path(inst.theta, np.pi / 2, dphi, 5, memory_cap)
+
+
+def trace_path(
+    inst: GroverInstance, steps: int, dphi: float, memory_cap: int = DEFAULT_MEMORY_CAP
+) -> ProbabilityPath:
+    """The class path from theta to phi_steps padded two steps beyond both ends
+    (not below 0), so that central stencils serve every step; step <= dphi."""
+    return _resampled_class_path(max(0.0, inst.theta - 2 * dphi),
+                                 phi_of_step(inst, steps) + 2 * dphi, dphi, 7, memory_cap)
 
 
 def phi_of_step(inst: GroverInstance, step: int) -> float:

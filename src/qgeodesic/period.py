@@ -28,13 +28,11 @@ from .geometry import fisher_discrete
 from .grover import (
     GroverInstance,
     amplification_path,
-    amplification_samples,
     optimal_iterations,
     recursion_trajectory,
 )
-from .states import StateVector, measure_register, require_amplitudes
+from .states import DEFAULT_MEMORY_CAP, StateVector, measure_register, require_amplitudes
 
-DEFAULT_MEMORY_CAP = 1 << 26  # complex amplitudes
 FORMAT_VERSION = 1  # of every JSON document and the trace CSV
 
 SHOR = "shor"
@@ -184,21 +182,17 @@ def _prime_factors(n: int) -> list[int]:
 
 
 def _verified_minimal_period(y: int, n: int, candidate: int) -> int | None:
-    """Accept a candidate exponent only if y^candidate = 1, then strip prime
-    factors while the identity survives, leaving the minimal period."""
+    """Accept a candidate exponent only if y^candidate = 1, then divide out
+    each prime factor of the candidate while the identity survives, leaving
+    the minimal period."""
     if candidate is None or candidate < 1:
         return None
     if pow(y, candidate, n) != 1:
         return None
     g = candidate
-    reduced = True
-    while reduced:
-        reduced = False
-        for p in _prime_factors(g):
-            if pow(y, g // p, n) == 1:
-                g //= p
-                reduced = True
-                break
+    for p in _prime_factors(candidate):
+        while g % p == 0 and pow(y, g // p, n) == 1:
+            g //= p
     return g
 
 
@@ -281,7 +275,7 @@ def _amplified_distribution(inst: PeriodInstance, memory_cap: int) -> tuple[np.n
     require_amplitudes(q, memory_cap, "register")
     search = inst.search
     steps = optimal_iterations(search)
-    k, l = recursion_trajectory(search, steps)[-1]
+    k, l = recursion_trajectory(search, steps, memory_cap)[-1]
     m = search.n_marked
     norm_sq = float(m * k * k + (q - m) * l * l)
     if abs(norm_sq - 1.0) > 1e-9:
@@ -292,11 +286,9 @@ def _amplified_distribution(inst: PeriodInstance, memory_cap: int) -> tuple[np.n
 
 
 def _period_from_samples(y: int, n: int, outcomes: list[int]) -> int | None:
-    """gcd of pairwise sample differences, verified and minimized."""
-    g = 0
-    for i in range(len(outcomes)):
-        for j in range(i + 1, len(outcomes)):
-            g = math.gcd(g, abs(outcomes[i] - outcomes[j]))
+    """gcd of the differences to the first sample, which is the gcd of all
+    pairwise differences, verified and minimized."""
+    g = math.gcd(*(outcome - outcomes[0] for outcome in outcomes))
     if g == 0:
         return None
     return _verified_minimal_period(y, n, g)
@@ -376,12 +368,34 @@ def _integer_root(n: int, k: int) -> int:
         x = y
 
 
+def _may_be_power(n: int, k: int) -> bool:
+    """False when n is shown not to be a k-th power: a k-th power has
+    n^((l-1)/k) = 1 (mod l) for every prime l = 1 (mod k) that does not
+    divide n.  Four such l are tried."""
+    tried, l = 0, 1
+    while tried < 4:
+        l += k
+        residue = n % l
+        if residue and _is_prime(l):
+            if pow(residue, (l - 1) // k, l) != 1:
+                return False
+            tried += 1
+    return True
+
+
 def _prime_power_base(n: int) -> int | None:
-    """The prime p with n = p^k (k >= 2), or None."""
-    for k in range(n.bit_length(), 1, -1):
-        root = _integer_root(n, k)
-        if root**k == n:  # largest k first, so root is no perfect power
-            return root if _is_prime(root) else None
+    """The prime p with n = p^e (e >= 2), or None.
+
+    n = p^e exactly when n = r^k for some prime k dividing e, and then
+    r = p^(e/k) is p or again a power of p.  So only prime exponents k are
+    tried, most of them ruled out by :func:`_may_be_power` before a root is
+    taken, and a root that is not prime is searched in turn.
+    """
+    for k in range(2, n.bit_length() + 1):
+        if _is_prime(k) and _may_be_power(n, k):
+            root = _integer_root(n, k)
+            if root**k == n:
+                return root if _is_prime(root) else _prime_power_base(root)
     return None
 
 
@@ -511,18 +525,6 @@ class ComparisonReport:
         }
 
 
-def _fisher_trace(
-    inst: PeriodInstance, dphi: float, memory_cap: int
-) -> tuple[list[float], list[float]]:
-    """Fisher values along the amplification path, from the uniform state at
-    phi = theta to the amplified state at pi/2, resampled at step dphi."""
-    search = inst.search
-    require_amplitudes(amplification_samples(search, dphi) * 2, memory_cap,
-                       "resampled path")
-    trace = fisher_discrete(amplification_path(search, dphi))
-    return trace.phi.tolist(), trace.fisher.tolist()
-
-
 def compare_methods(
     inst: PeriodInstance,
     seed: int,
@@ -545,14 +547,14 @@ def compare_methods(
     grover_res = grover_period(
         inst, np.random.default_rng(children[1]),
         samples=samples, max_rounds=grover_rounds, memory_cap=memory_cap)
-    phis, values = _fisher_trace(inst, trace_dphi, memory_cap)
+    trace = fisher_discrete(amplification_path(inst.search, trace_dphi, memory_cap))
     return ComparisonReport(
         seed=seed,
         modulus=inst.modulus,
         base=inst.base,
         register_size=inst.register_size,
         methods={SHOR: shor_res, GROVER_ADIABATIC: grover_res},
-        fisher_phis=phis,
-        fisher_values=values,
+        fisher_phis=trace.phi.tolist(),
+        fisher_values=trace.fisher.tolist(),
     )
 

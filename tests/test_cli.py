@@ -14,9 +14,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qgeodesic import GeodesicState, GroverInstance, action, cli, phi_of_step
-from qgeodesic.cli import _emit, _fine_grid, _parse_marked, main
-from qgeodesic.grover import class_path
+from qgeodesic import GeodesicState, GroverInstance, action, cli
+from qgeodesic.cli import _emit, _parse_marked, main
+from qgeodesic.grover import trace_path
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
@@ -102,7 +102,7 @@ class TestGroverTrace:
                     "--format", "json"]) == 0
         rows = json.loads(capsys.readouterr().out)["rows"]
         inst = GroverInstance(int(n_items), frozenset(_parse_marked(marked)))
-        fine = class_path(_fine_grid(inst.theta, phi_of_step(inst, steps), 0.01))
+        fine = trace_path(inst, steps, 0.01)
         for row in rows:
             expected = action(fine, inst.theta, row["phi"])
             assert row["action_cumulative"] == pytest.approx(expected, abs=1e-12)
@@ -433,6 +433,19 @@ class TestAllocationCaps:
         assert run(args) == 3
         assert capsys.readouterr().err == f"resource error: {message}\n"
 
+    def test_trace_path_is_charged_before_its_grid(self, capsys):
+        # 104 719 761 rows: the grid alone would be 799 MiB
+        tracemalloc.start()
+        try:
+            assert run(["grover-trace", "4", "--marked", "0", "--steps", "2",
+                        "--dphi", "2e-8", "--memory-cap", "1000"]) == 3
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert capsys.readouterr().err == (
+            "resource error: resampled path needs 209439522 amplitudes, cap is 1000\n")
+        assert peak < 2**20, f"peak {peak / 2**20:.1f} MiB"
+
     def test_compare_peak_is_a_few_registers(self, capsys):
         # q = 2^20 with M = 2^19 marked: the charged register is q complex
         # amplitudes (16 MiB); the period search holds only the sizes and
@@ -473,6 +486,15 @@ class TestFactorModuli:
         assert run(["factor", str(3 * 7**500), "--method", "shor", "--seed", "1"]) == 2
         assert capsys.readouterr().err == (
             "error: modulus of 1406 bits is beyond the simulator's signed "
+            "64-bit range (N < 2^63)\n")
+
+    def test_huge_modulus_is_refused_without_an_exponent_scan(self, capsys):
+        # 14 039 bits: a Newton root per exponent up to the bit length took over 16 s
+        start = time.perf_counter()
+        assert run(["factor", str(3 * 7**5000), "--method", "shor", "--seed", "1"]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err == (
+            "error: modulus of 14039 bits is beyond the simulator's signed "
             "64-bit range (N < 2^63)\n")
 
     def test_large_prime_is_refused_without_trial_division(self, capsys):

@@ -29,6 +29,7 @@ import sys
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -239,19 +240,15 @@ def run_all() -> tuple[dict, dict]:
     """Digests of every command and the calls into the dense reference,
     from a fresh temporary directory with the usage text width fixed."""
     cwd = os.getcwd()
-    columns = os.environ.get("COLUMNS")
-    os.environ["COLUMNS"] = "80"  # argparse wraps its usage to the terminal
-    try:
-        with tempfile.TemporaryDirectory() as workdir, _counting_dense_calls() as calls:
-            os.chdir(workdir)
+    # argparse wraps its usage text to the terminal width
+    with mock.patch.dict(os.environ, COLUMNS="80"), \
+            tempfile.TemporaryDirectory() as workdir, _counting_dense_calls() as calls:
+        os.chdir(workdir)
+        try:
             os.mkdir("a-directory")
             digests = {_key(args): _digests(args) for args in COMMANDS}
-    finally:
-        os.chdir(cwd)
-        if columns is None:
-            del os.environ["COLUMNS"]
-        else:
-            os.environ["COLUMNS"] = columns
+        finally:
+            os.chdir(cwd)
     return digests, calls
 
 

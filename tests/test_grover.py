@@ -28,7 +28,7 @@ from qgeodesic.geometry import (
     geodesic_residual_profile,
     integrate_geodesic,
 )
-from qgeodesic.grover import amplification_path, class_path, recursion_trajectory
+from qgeodesic.grover import amplification_path, class_path, recursion_trajectory, trace_path
 
 
 def single_marked(n):
@@ -360,7 +360,7 @@ class TestClassReduction:
     def test_geometry_matches_item_path(self, run, dphi):
         """On the grover-trace grid from theta to phi_steps."""
         inst, steps = run
-        phis = cli._fine_grid(inst.theta, phi_of_step(inst, steps), dphi)
+        phis = trace_path(inst, steps, dphi).phis
         reduced, dense = class_path(phis), analytic_trajectory(inst, phis)
         assert np.max(np.abs(fisher_discrete(reduced).fisher
                              - fisher_discrete(dense).fisher)) < 1e-12
@@ -409,7 +409,7 @@ class TestClassReduction:
 
         sim = run_grover(inst, steps)
         mask = inst.marked_mask()
-        fine = analytic_trajectory(inst, cli._fine_grid(sim.phis[0], sim.phis[-1], 0.01))
+        fine = analytic_trajectory(inst, trace_path(inst, steps, 0.01).phis)
         fisher = fisher_discrete(fine).fisher
         res_phis, res_max = geodesic_residual_profile(fine)
         for j, row in enumerate(rows):
