@@ -29,11 +29,11 @@ import numpy as np
 from .geometry import (
     GeodesicState,
     _residuals,
+    _rk4_to_stops,
     action,
     cumulative_action,
     fisher_discrete,
     fubini_study_distance,
-    integrate_geodesic,
 )
 from .grover import (
     GroverInstance,
@@ -129,19 +129,13 @@ def cmd_grover_trace(args: argparse.Namespace) -> int:
     cumulative = cumulative_action(fine.phis, fisher)
     action_origin = np.interp(inst.theta, fine.phis, cumulative)
 
-    rows = []
-    for j in range(steps + 1):
-        phi = phi_of_step(inst, j)
-        rows.append({
-            "step": j,
-            "phi": phi,
-            "p_marked": float(p_marked[j]),
-            "p_unmarked": float(p_unmarked[j]),
-            "fisher_estimate": float(np.interp(phi, fine.phis, fisher)),
-            "geodesic_residual_max": float(np.interp(phi, res_phis, res_max)),
-            "action_cumulative": float(
-                np.interp(phi, fine.phis, cumulative) - action_origin),
-        })
+    phis = phi_of_step(inst, np.arange(steps + 1))
+    columns = (phis, p_marked, p_unmarked,
+               np.interp(phis, fine.phis, fisher),
+               np.interp(phis, res_phis, res_max),
+               np.interp(phis, fine.phis, cumulative) - action_origin)
+    rows = [dict(zip(TRACE_COLUMNS, (j, *values)))
+            for j, values in enumerate(zip(*(column.tolist() for column in columns)))]
 
     if args.format == "csv":
         _emit(_trace_csv(rows), args.out)
@@ -164,19 +158,15 @@ def cmd_geodesic_check(args: argparse.Namespace) -> int:
 
     # Target j <= last_step is recursion step j; a last target pi/2 follows
     # when the final step falls short of it.
-    targets = [phi_of_step(inst, j) for j in range(last_step + 1)]
+    targets = phi_of_step(inst, np.arange(last_step + 1)).tolist()
     if targets[-1] < np.pi / 2 - 1e-12:
         targets.append(np.pi / 2)
     # Per-item probabilities are class probabilities over class size.
     sizes = inst.class_sizes
-    analytic = class_path([min(phi, np.pi / 2) for phi in targets]).probs / sizes
+    analytic = class_path(np.minimum(targets, np.pi / 2)).probs / sizes
     uniform = np.sqrt(sizes) / np.sqrt(n_items)
-    state = GeodesicState(uniform, np.array([np.cos(theta), -np.sin(theta)]), theta)
-    finals = []
-    for phi_target in targets:
-        state = integrate_geodesic(state, 4.0, phi_target, GEODESIC_DT)[-1]
-        finals.append(state.x)
-    probs = np.array(finals)**2 / sizes
+    start = GeodesicState(uniform, np.array([np.cos(theta), -np.sin(theta)]), theta)
+    probs = _rk4_to_stops(start, 4.0, targets, GEODESIC_DT).x[1:]**2 / sizes
     dev_analytic = float(np.max(np.abs(probs - analytic)))
     dev_sim = float(np.max(np.abs(probs[:len(sim)] - sim)))
 

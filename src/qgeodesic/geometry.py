@@ -246,6 +246,22 @@ def integrate_geodesic(
     :class:`GeodesicTrajectory`.  Exact solution for comparison:
     x(phi) = x0 cos(w dphi) + (xdot0 / w) sin(w dphi) with w = sqrt(F)/2.
     """
+    return _rk4_to_stops(init, fisher_const, [phi_end], dt, rows=True)
+
+
+def _rk4_to_stops(
+    init: GeodesicState, fisher_const: float, stops, dt: float, rows: bool = False
+) -> GeodesicTrajectory:
+    """The RK4 loop of :func:`integrate_geodesic`, run through each of the
+    increasing ``stops`` in turn.
+
+    Each segment is stepped, and its start state checked, exactly as by a
+    separate ``integrate_geodesic(state, fisher_const, stop, dt)`` call from
+    the last state of the previous one, whose phi is the stop after a
+    partial step and ``phi + n_full * dt`` otherwise.  Returns the initial
+    state followed by the state at each stop, or by every stepped state
+    when ``rows`` is true.
+    """
     if not math.isfinite(dt) or dt <= 0:
         raise ValueError(f"dt must be positive and finite, got {dt}")
     if not math.isfinite(fisher_const) or fisher_const <= 0:
@@ -255,16 +271,6 @@ def integrate_geodesic(
     if x.ndim != 1 or x.shape != v.shape:
         raise ValueError(f"x and xdot must be vectors of one length, got shapes "
                          f"{x.shape} and {v.shape}")
-    phi0, phi_end = float(init.phi), float(phi_end)
-    if not (np.isfinite(x).all() and np.isfinite(v).all()
-            and math.isfinite(phi0) and math.isfinite(phi_end)):
-        raise ValueError("non-finite input to geodesic integrator")
-    if abs(float(np.sum(x * x)) - 1.0) > 1e-8:
-        raise ValueError("initial amplitudes must satisfy sum x^2 = 1")
-    if abs(float(np.sum(x * v))) > 1e-8:
-        raise ValueError("initial velocity must be tangent: sum x*xdot = 0")
-    if phi_end < phi0:
-        raise ValueError("phi_end must be >= the initial phi")
 
     omega_sq = fisher_const / 4.0
 
@@ -278,42 +284,66 @@ def integrate_geodesic(
         s = h * (1.0 - z / 6.0)
         return s, z / 2.0 - z * z / 24.0, omega_sq * s
 
-    span = phi_end - phi0
-    n_full = math.floor(span / dt + 1e-9)
-    remainder = span - n_full * dt
-    partial = remainder > 1e-12 * max(1.0, span)
-    phis = np.empty(n_full + 1 + partial)
-    phis[0] = phi0
-    phis[1:n_full + 1] = phi0 + np.arange(1, n_full + 1) * dt  # not a running sum
-    if partial:
-        phis[-1] = phi_end
-
     # Stepped on Python floats, one coordinate at a time, which is the
     # elementwise arithmetic of an array step without its per-step ufunc
     # overhead.  Coordinates whose (x, v) bits agree follow the same
     # trajectory, so each distinct pair is stepped once (a search state
-    # has two, whatever N).
+    # has two, whatever N), and the entry checks weigh it by its count.
     slots: dict[tuple[int, int], int] = {}
     inverse = [slots.setdefault(key, len(slots))
                for key in zip(x.view(np.int64).tolist(), v.view(np.int64).tolist())]
-    pairs = np.array(list(slots), dtype=np.int64).view(np.float64)
+    counts = np.bincount(inverse).tolist()
+    xs, vs = np.array(list(slots), dtype=np.int64).reshape(-1, 2).view(np.float64).T.tolist()
+    x_runs, v_runs = [[xi] for xi in xs], [[vi] for vi in vs]
+    phi = float(init.phi)
+    phis = [phi]
     s, a, w = rk4(dt)
-    s_last, a_last, w_last = rk4(remainder)
-    xs, vs = [], []
-    for xi, vi in pairs.tolist():
-        x_run, v_run = [xi], [vi]
-        x_add, v_add = x_run.append, v_run.append
-        for _ in range(n_full):
-            xi, vi = xi + (s * vi - a * xi), vi - (a * vi + w * xi)
-            x_add(xi)
-            v_add(vi)
+    for stop in stops:
+        stop = float(stop)
+        if not (all(map(math.isfinite, xs)) and all(map(math.isfinite, vs))
+                and math.isfinite(phi) and math.isfinite(stop)):
+            raise ValueError("non-finite input to geodesic integrator")
+        norm = tangency = 0.0
+        for count, xi, vi in zip(counts, xs, vs):
+            norm += count * xi * xi
+            tangency += count * xi * vi
+        if abs(norm - 1.0) > 1e-8:
+            raise ValueError("initial amplitudes must satisfy sum x^2 = 1")
+        if abs(tangency) > 1e-8:
+            raise ValueError("initial velocity must be tangent: sum x*xdot = 0")
+        if stop < phi:
+            raise ValueError("phi_end must be >= the initial phi")
+
+        span = stop - phi
+        n_full = math.floor(span / dt + 1e-9)
+        remainder = span - n_full * dt
+        partial = remainder > 1e-12 * max(1.0, span)
+        s_last, a_last, w_last = rk4(remainder)
+        for slot, (xi, vi) in enumerate(zip(xs, vs)):
+            x_add, v_add = x_runs[slot].append, v_runs[slot].append
+            for _ in range(n_full):
+                xi, vi = xi + (s * vi - a * xi), vi - (a * vi + w * xi)
+                if rows:
+                    x_add(xi)
+                    v_add(vi)
+            if partial:
+                xi, vi = xi + (s_last * vi - a_last * xi), vi - (a_last * vi + w_last * xi)
+            if partial or not rows:
+                x_add(xi)
+                v_add(vi)
+            xs[slot], vs[slot] = xi, vi
+        if rows:  # phi + k * dt, not a running sum
+            phis.extend((phi + np.arange(1, n_full + 1) * dt).tolist())
         if partial:
-            x_add(xi + (s_last * vi - a_last * xi))
-            v_add(vi - (a_last * vi + w_last * xi))
-        xs.append(x_run)
-        vs.append(v_run)
-    x_rows = np.array(xs).T.take(inverse, axis=1)
-    v_rows = np.array(vs).T.take(inverse, axis=1)
+            phi = stop
+        elif n_full:  # with no step, phi stays as it was, -0.0 included
+            phi += n_full * dt
+        if partial or not rows:
+            phis.append(phi)
+
+    phis = np.array(phis)
+    x_rows = np.array(x_runs).reshape(len(slots), phis.size).T.take(inverse, axis=1)
+    v_rows = np.array(v_runs).reshape(len(slots), phis.size).T.take(inverse, axis=1)
     for array in (phis, x_rows, v_rows):
         array.flags.writeable = False
     return GeodesicTrajectory(phis, x_rows, v_rows)

@@ -102,10 +102,15 @@ def recursion_trajectory(
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
     require_amplitudes((steps + 1) * 2, memory_cap, "trajectory")
-    states = [RecursionState(1.0 / np.sqrt(inst.n_items), 1.0 / np.sqrt(inst.n_items))]
+    # recursion_step's arithmetic on floats, its coefficients computed once
+    n, m = inst.n_items, inst.n_marked
+    same, to_k, to_l = (n - 2 * m) / n, 2 * (n - m) / n, -2 * m / n
+    k = l = float(1.0 / np.sqrt(n))
+    rows = [(k, l)]
     for _ in range(steps):
-        states.append(recursion_step(states[-1], inst.n_items, inst.n_marked))
-    return np.array([(s.k, s.l) for s in states])
+        k, l = same * k + to_k * l, to_l * k + same * l
+        rows.append((k, l))
+    return np.array(rows)
 
 
 def analytic_trajectory(inst: GroverInstance, phis: np.ndarray) -> ProbabilityPath:
@@ -138,7 +143,8 @@ def _resampled_class_path(
     """The class path on a uniform grid from start to end at step <= dphi,
     at least ``minimum`` rows; its rows * 2 cells are charged against
     ``memory_cap`` before the grid is built."""
-    rows = max(minimum, int(np.ceil((end - start) / dphi)) + 1)
+    cells = np.ceil((end - start) / dphi)
+    rows = max(minimum, int(cells) + 1) if np.isfinite(cells) else np.inf
     require_amplitudes(rows * 2, memory_cap, "resampled path")
     return class_path(np.linspace(start, end, rows))
 
@@ -160,8 +166,9 @@ def trace_path(
                                  phi_of_step(inst, steps) + 2 * dphi, dphi, 7, memory_cap)
 
 
-def phi_of_step(inst: GroverInstance, step: int) -> float:
-    """Continuous parameter value of discrete step j: (2j + 1) * theta."""
+def phi_of_step(inst: GroverInstance, step: int | np.ndarray) -> float | np.ndarray:
+    """Continuous parameter value of discrete step j: (2j + 1) * theta, for
+    one step or elementwise for an integer array of steps."""
     return (2 * step + 1) * inst.theta
 
 

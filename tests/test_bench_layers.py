@@ -11,9 +11,10 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from qgeodesic import cli, geometry
+from qgeodesic import GeodesicState, cli, geometry
 
 LAYERS = Path(__file__).resolve().parents[1] / "bench" / "layers.py"
 
@@ -22,6 +23,11 @@ COMMANDS = [
     ["compare", "15", "2", "--seed", "1"],
     ["factor", "15", "--method", "shor", "--seed", "1"],
 ]
+
+# The N = 4 search state on its two class coordinates, at phi = theta = pi/6.
+# No command calls integrate_geodesic, so the tests call it directly.
+START = GeodesicState(np.array([0.5, np.sqrt(0.75)]), np.array([np.sqrt(0.75), -0.5]),
+                      np.pi / 6)
 
 
 @pytest.fixture(scope="module")
@@ -61,6 +67,7 @@ def test_traced_commands_run_and_bindings_are_restored(layers, capsys):
     before = bindings(layers)
     with layers.Tracer() as tracer:
         codes = [cli.main(argv) for argv in COMMANDS]
+        geometry.integrate_geodesic(START, 4.0, np.pi / 2, 1e-2)
     capsys.readouterr()
     assert codes == [0] * len(COMMANDS)
     assert tracer.counts["cli.main.calls"] == len(COMMANDS)
@@ -79,22 +86,15 @@ def test_shor_samples_are_counted(layers, capsys):
     assert metrics["period.shor.useful_ratio"] == 0.5
 
 
-def test_integrator_counts_match_the_trajectories(layers, monkeypatch, capsys):
-    """The tracer's step and cell counts for geodesic-check 4 equal the
-    totals over the trajectories the integrator returned."""
-    trajectories = []
-    integrate = geometry.integrate_geodesic
-
-    def recording(*args):
-        trajectories.append(integrate(*args))
-        return trajectories[-1]
-
-    for module in (geometry, cli):
-        monkeypatch.setattr(module, "integrate_geodesic", recording)
+def test_integrator_counts_match_the_trajectories(layers):
+    """The tracer's step and cell counts equal the totals over the
+    trajectories integrate_geodesic returned: a partial last step, whole
+    steps only, and a zero span."""
     with layers.Tracer() as tracer:
-        assert cli.main(["geodesic-check", "4"]) == 0
-    capsys.readouterr()
-    assert trajectories
+        trajectories = [geometry.integrate_geodesic(START, 4.0, START.phi + span, 1e-2)
+                        for span in (0.105, 0.1, 0.0)]
+    assert [len(t) for t in trajectories] == [12, 11, 1]
+    assert tracer.counts["geometry.integrate_geodesic.calls"] == 3
     assert tracer.counts["geometry.integrate_geodesic.steps"] == \
         sum(len(t.phis) - 1 for t in trajectories)
     assert tracer.counts["geometry.integrate_geodesic.cells"] == \

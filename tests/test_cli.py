@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qgeodesic import GeodesicState, GroverInstance, action, cli
+from qgeodesic import GeodesicState, GroverInstance, action, cli, geometry
 from qgeodesic.cli import _emit, _parse_marked, main
 from qgeodesic.grover import trace_path
 
@@ -177,6 +177,30 @@ class TestGeodesicCheck:
         assert run(["geodesic-check", "8192"]) == 0
         capsys.readouterr()
         assert 0 < len(built) <= 72 + 1
+
+    def test_one_kernel_pass_and_no_integrator_calls(self, monkeypatch, capsys):
+        # N = 8192: the 72 segment ends are the stops of one stepping pass
+        # that records no rows; integrate_geodesic, whose every call would
+        # also run the kernel, is never called
+        kernel_calls, integrator_calls = [], []
+        kernel, integrate = geometry._rk4_to_stops, geometry.integrate_geodesic
+
+        def counting_kernel(init, fisher_const, stops, dt, rows=False):
+            kernel_calls.append((len(stops), rows))
+            return kernel(init, fisher_const, stops, dt, rows)
+
+        def counting_integrator(*args):
+            integrator_calls.append(args)
+            return integrate(*args)
+
+        for module in (geometry, cli):
+            monkeypatch.setattr(module, "_rk4_to_stops", counting_kernel)
+            monkeypatch.setattr(module, "integrate_geodesic", counting_integrator,
+                                raising=False)
+        assert run(["geodesic-check", "8192"]) == 0
+        capsys.readouterr()
+        assert kernel_calls == [(72, False)]
+        assert integrator_calls == []
 
 
 class TestFactorCommand:
@@ -445,6 +469,19 @@ class TestAllocationCaps:
         assert capsys.readouterr().err == (
             "resource error: resampled path needs 209439522 amplitudes, cap is 1000\n")
         assert peak < 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+    @pytest.mark.parametrize("args", [
+        ["grover-trace", "4", "--marked", "0", "--steps", "2"],
+        ["geodesic-check", "4"],
+        ["compare", "15", "2", "--seed", "1"],
+    ])
+    def test_subnormal_dphi_exits_3(self, args, capsys):
+        # span / dphi overflows to inf: the row count must not reach int()
+        assert run(args + ["--dphi", "5e-324"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "resource error: resampled path needs inf amplitudes, cap is 67108864\n")
 
     def test_compare_peak_is_a_few_registers(self, capsys):
         # q = 2^20 with M = 2^19 marked: the charged register is q complex

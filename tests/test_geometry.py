@@ -1,10 +1,11 @@
 """Fisher estimation, metric identities, geodesic residuals, integration."""
 
+import re
 from collections.abc import Sequence
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qgeodesic import (
@@ -27,6 +28,7 @@ from qgeodesic import (
     run_grover,
     unitarity_identity_check,
 )
+from qgeodesic.geometry import _rk4_to_stops
 
 
 def grover_fine_path(n, dphi=0.01, lo=None, hi=np.pi / 2):
@@ -349,6 +351,34 @@ class TestGeodesicResidual:
             geodesic_residual_profile(constant_path([0.5, 0.5]))
 
 
+def tied_state(dim, ties, seed):
+    """A random unit x and a tangent v.  "tied" repeats the first (x, v)
+    pair over every other coordinate; "signed zeros" puts 0.0 and -0.0 side
+    by side, which a shared stepped trajectory must not merge."""
+    rng = np.random.default_rng(seed)
+    x, v = rng.normal(size=dim), rng.normal(size=dim)
+    if ties == "tied":
+        x[1::2], v[1::2] = x[0], v[0]
+    elif ties == "signed zeros" and dim >= 3:
+        x[1], x[2], v[1], v[2] = 0.0, -0.0, -0.0, -0.0
+    x /= np.linalg.norm(x)
+    v -= np.dot(v, x) * x  # tangent
+    return x, v, float(rng.uniform(-1.0, 1.0))
+
+
+def chained_calls(init, fisher_const, stops, dt):
+    """One integrate_geodesic call per stop, each from the last state of the
+    call before; returns the trajectories, or the first call's ValueError."""
+    trajectories, state = [], init
+    for stop in stops:
+        try:
+            trajectories.append(integrate_geodesic(state, fisher_const, stop, dt))
+        except ValueError as exc:
+            return exc
+        state = trajectories[-1][-1]
+    return trajectories
+
+
 class TestIntegrateGeodesic:
     def grover_initial(self, n):
         theta = np.arcsin(1.0 / np.sqrt(n))
@@ -422,15 +452,7 @@ class TestIntegrateGeodesic:
         """Bit for bit: float spans mostly end in a partial step, integer
         spans count whole steps of dt.  Tied coordinates share one stepped
         trajectory, which must not merge 0.0 with -0.0."""
-        rng = np.random.default_rng(seed)
-        x, v = rng.normal(size=dim), rng.normal(size=dim)
-        if ties == "tied":
-            x[1::2], v[1::2] = x[0], v[0]
-        elif ties == "signed zeros" and dim >= 3:
-            x[1], x[2], v[1], v[2] = 0.0, -0.0, -0.0, -0.0
-        x /= np.linalg.norm(x)
-        v -= np.dot(v, x) * x  # tangent
-        phi0 = float(rng.uniform(-1.0, 1.0))
+        x, v, phi0 = tied_state(dim, ties, seed)
         phi_end = phi0 + (span * dt if isinstance(span, int) else span)
         init = GeodesicState(x, v, phi0)
         states = integrate_geodesic(init, fisher_const, phi_end, dt)
@@ -445,6 +467,54 @@ class TestIntegrateGeodesic:
         assert states.phis.tobytes() == ref_phis.tobytes()
         assert states.x.tobytes() == ref_xs.tobytes()
         assert states.xdot.tobytes() == ref_vs.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 8), st.floats(0.1, 8.0), st.floats(1e-3, 0.02),
+           st.lists(st.one_of(st.integers(0, 40), st.floats(0.0, 0.3)), max_size=8),
+           st.sampled_from(["distinct", "tied", "signed zeros"]),
+           st.integers(0, 2**32 - 1))
+    @example(dim=4, fisher_const=4.0, dt=1e-3, segments=[0, 0.0105, 0, 7, 0, 0.0, 3],
+             ties="tied", seed=1)
+    @example(dim=8, fisher_const=4.0, dt=1e-2, segments=[5, 5, 0.0, 12, 0.333],
+             ties="tied", seed=2)
+    @example(dim=5, fisher_const=1.0, dt=4e-3, segments=[0.017, 0, 0, 2, 0.0401],
+             ties="signed zeros", seed=3)
+    def test_stops_equal_chained_calls(self, dim, fisher_const, dt, segments, ties, seed):
+        """Bit for bit, errors included: the kernel's state at each stop is
+        the last state of a chain of integrate_geodesic calls, and its rows
+        are the chain's rows.  An integer segment is that many whole steps
+        of dt, so 0 is a zero-length segment and a positive one lands on
+        the grid; a float segment mostly ends in a partial step."""
+        x, v, phi0 = tied_state(dim, ties, seed)
+        speed = np.linalg.norm(v)
+        if speed > 0:
+            v *= np.sqrt(fisher_const) / 2 / speed  # on the sphere: a geodesic
+        init = GeodesicState(x, v, phi0)
+        stops, stop = [], phi0
+        for segment in segments:
+            stop += segment * dt if isinstance(segment, int) else segment
+            stops.append(stop)
+
+        chain = chained_calls(init, fisher_const, stops, dt)
+        if isinstance(chain, ValueError):
+            for rows in (False, True):
+                with pytest.raises(ValueError, match=re.escape(str(chain))):
+                    _rk4_to_stops(init, fisher_const, stops, dt, rows=rows)
+            return
+        at_stops = _rk4_to_stops(init, fisher_const, stops, dt)
+        assert len(at_stops) == len(stops) + 1
+        first, *ends = [init] + [trajectory[-1] for trajectory in chain]
+        assert at_stops.phis.tolist() == [first.phi] + [end.phi for end in ends]
+        assert at_stops.x.tobytes() == np.array([first.x] + [end.x for end in ends]).tobytes()
+        assert at_stops.xdot.tobytes() == \
+            np.array([first.xdot] + [end.xdot for end in ends]).tobytes()
+
+        every_row = _rk4_to_stops(init, fisher_const, stops, dt, rows=True)
+        pieces = [integrate_geodesic(init, fisher_const, phi0, dt)] + chain
+        for name in ("phis", "x", "xdot"):
+            joined = np.concatenate([getattr(pieces[0], name)]
+                                    + [getattr(piece, name)[1:] for piece in pieces[1:]])
+            assert getattr(every_row, name).tobytes() == joined.tobytes()
 
     def test_trajectory_contract(self):
         init = self.grover_initial(6)

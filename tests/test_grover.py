@@ -6,7 +6,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qgeodesic import (
@@ -339,6 +339,23 @@ class TestClassReduction:
     def test_negative_steps_rejected(self):
         with pytest.raises(ValueError):
             recursion_trajectory(single_marked(8), -1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(search_runs(max_items=2**20))
+    @example((single_marked(8), 0))
+    @example((GroverInstance(2**20, range(5, 2**19)), 0))
+    @example((GroverInstance(256, range(64)), 7))
+    def test_trajectory_equals_chained_steps(self, run):
+        """Bit for bit: the trajectory is recursion_step applied in turn."""
+        inst, steps = run
+        state = RecursionState(1.0 / np.sqrt(inst.n_items), 1.0 / np.sqrt(inst.n_items))
+        expected = [(state.k, state.l)]
+        for _ in range(steps):
+            state = recursion_step(state, inst.n_items, inst.n_marked)
+            expected.append((state.k, state.l))
+        traj = recursion_trajectory(inst, steps)
+        assert traj.dtype == np.float64 and traj.shape == (steps + 1, 2)
+        assert traj.tobytes() == np.array(expected, dtype=np.float64).tobytes()
 
     @settings(max_examples=60, deadline=None)
     @given(search_runs())
