@@ -22,7 +22,6 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import asdict
 
 import numpy as np
 
@@ -33,7 +32,6 @@ from .geometry import (
     action,
     cumulative_action,
     fisher_discrete,
-    fubini_study_distance,
 )
 from .grover import (
     GroverInstance,
@@ -52,7 +50,7 @@ from .period import (
     compare_methods,
     factor,
 )
-from .states import ResourceLimitError, StateVector, basis_state, require_amplitudes
+from .states import ResourceLimitError, require_amplitudes
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -172,7 +170,7 @@ def cmd_geodesic_check(args: argparse.Namespace) -> int:
 
     fisher = fisher_discrete(fine).fisher
     act = action(fine, theta, np.pi / 2)
-    dist = fubini_study_distance(StateVector(uniform), basis_state(2, 0))
+    dist = float(np.arccos(uniform[0]))  # Fubini-Study distance to the marked class
 
     tol_integrator = 1e-6
     tol_action = 5.0 * dphi * dphi
@@ -216,7 +214,7 @@ def cmd_factor(args: argparse.Namespace) -> int:
     result = factor(n, method, np.random.default_rng(args.seed), budget=args.budget,
                     samples=args.samples, memory_cap=args.memory_cap)
     if args.out is not None:
-        _emit(_json_text({**asdict(result), "format_version": FORMAT_VERSION,
+        _emit(_json_text({**vars(result), "format_version": FORMAT_VERSION,
                           "seed": args.seed, "budget": args.budget,
                           "samples": args.samples}), args.out)
     if result.classical_route is not None:

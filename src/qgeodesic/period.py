@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import fisher_discrete
@@ -31,7 +31,13 @@ from .grover import (
     optimal_iterations,
     recursion_trajectory,
 )
-from .states import DEFAULT_MEMORY_CAP, StateVector, measure_register, require_amplitudes
+from .states import (
+    DEFAULT_MEMORY_CAP,
+    StateVector,
+    measure_register,
+    require_amplitudes,
+    require_normalized,
+)
 
 FORMAT_VERSION = 1  # of every JSON document and the trace CSV
 
@@ -223,10 +229,11 @@ def shor_sample(
     amps[column] = 1.0 / np.sqrt(np.count_nonzero(column))
     # The readout distribution of measure_register, without its collapse:
     # qft's transform, taken in place, and |c|^2 normalised in place.
-    amps = StateVector(np.fft.ifft(amps, norm="ortho", out=amps)).amplitudes
-    p = np.abs(amps)
+    p = np.abs(np.fft.ifft(amps, norm="ortho", out=amps))
     np.square(p, out=p)
-    p /= p.sum()
+    total = p.sum()
+    require_normalized(float(total))
+    p /= total
     c = int(rng.choice(q, p=p))
     return l, c
 
@@ -277,9 +284,7 @@ def _amplified_distribution(inst: PeriodInstance, memory_cap: int) -> tuple[np.n
     steps = optimal_iterations(search)
     k, l = recursion_trajectory(search, steps, memory_cap)[-1]
     m = search.n_marked
-    norm_sq = float(m * k * k + (q - m) * l * l)
-    if abs(norm_sq - 1.0) > 1e-9:
-        raise ValueError(f"state is not normalized: sum |c|^2 = {norm_sq!r}")
+    require_normalized(float(m * k * k + (q - m) * l * l))
     p = np.where(search.marked_mask(), k * k, l * l)
     p /= p.sum()
     return p, steps
@@ -368,31 +373,15 @@ def _integer_root(n: int, k: int) -> int:
         x = y
 
 
-def _may_be_power(n: int, k: int) -> bool:
-    """False when n is shown not to be a k-th power: a k-th power has
-    n^((l-1)/k) = 1 (mod l) for every prime l = 1 (mod k) that does not
-    divide n.  Four such l are tried."""
-    tried, l = 0, 1
-    while tried < 4:
-        l += k
-        residue = n % l
-        if residue and _is_prime(l):
-            if pow(residue, (l - 1) // k, l) != 1:
-                return False
-            tried += 1
-    return True
-
-
 def _prime_power_base(n: int) -> int | None:
     """The prime p with n = p^e (e >= 2), or None.
 
     n = p^e exactly when n = r^k for some prime k dividing e, and then
     r = p^(e/k) is p or again a power of p.  So only prime exponents k are
-    tried, most of them ruled out by :func:`_may_be_power` before a root is
-    taken, and a root that is not prime is searched in turn.
+    tried, and a root that is not prime is searched in turn.
     """
     for k in range(2, n.bit_length() + 1):
-        if _is_prime(k) and _may_be_power(n, k):
+        if _is_prime(k):
             root = _integer_root(n, k)
             if root**k == n:
                 return root if _is_prime(root) else _prime_power_base(root)
@@ -439,12 +428,17 @@ def factor(
     Draws random bases y until one yields an even period r with
     y^{r/2} != -1 (mod N); then gcd(y^{r/2} +- 1, N) is a factor pair.
     Even moduli and prime powers are reported through the classical route
-    with the trivial factor; primes are reported as unfactorable.
+    with the trivial factor; primes are reported as unfactorable.  Raises
+    ValueError for N >= 2^63, beyond the simulator's int64 registers,
+    before N is classified.
     """
     if method not in (SHOR, GROVER_ADIABATIC):
         raise ValueError(f"unknown method {method!r}")
     if n < 3:
         raise ValueError(f"modulus must be >= 3, got {n}")
+    if n >= 1 << 63:
+        raise ValueError(f"modulus of {n.bit_length()} bits is beyond the "
+                         "simulator's signed 64-bit range (N < 2^63)")
     kind = classify_modulus(n)
     if kind == "even":
         return FactorResult(n, method, (2, n // 2), True, classical_route="even")
@@ -454,9 +448,6 @@ def factor(
         p = _prime_power_base(n)
         return FactorResult(n, method, (p, n // p), True, classical_route="prime-power")
 
-    if n >= 1 << 63:
-        raise ValueError(f"modulus of {n.bit_length()} bits is beyond the "
-                         "simulator's signed 64-bit range (N < 2^63)")
     attempts: list[dict] = []
     oracle_calls = measurements = 0
     for _ in range(budget):
@@ -515,7 +506,7 @@ class ComparisonReport:
                 "base": self.base,
                 "register_size": self.register_size,
             },
-            "methods": {name: {**asdict(result),
+            "methods": {name: {**vars(result),
                                "projective_measurements": result.measurements}
                         for name, result in self.methods.items()},
             "fisher_trace": {

@@ -30,6 +30,12 @@ def require_amplitudes(count: int, cap: int, what: str):
         raise ResourceLimitError(f"{what} needs {count} amplitudes, cap is {cap}")
 
 
+def require_normalized(norm_sq: float):
+    """Raise ValueError unless a state's sum |c|^2 is 1 within 1e-9."""
+    if abs(norm_sq - 1.0) > 1e-9:
+        raise ValueError(f"state is not normalized: sum |c|^2 = {norm_sq!r}")
+
+
 @dataclass(frozen=True)
 class StateVector:
     """A normalized pure state over one register or a register pair.
@@ -56,9 +62,7 @@ class StateVector:
         # einsum on the real view, not vdot: a threaded BLAS vdot can pay
         # milliseconds of thread wake-up per call on a q-long state.
         f = amps.view(np.float64)
-        norm_sq = float(np.einsum("i,i->", f, f))
-        if abs(norm_sq - 1.0) > 1e-9:
-            raise ValueError(f"state is not normalized: sum |c|^2 = {norm_sq!r}")
+        require_normalized(float(np.einsum("i,i->", f, f)))
 
     @property
     def dim(self) -> int:

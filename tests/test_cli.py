@@ -543,6 +543,16 @@ class TestFactorModuli:
             "error: 4503599627370449 is prime; not a valid target\n")
 
     @pytest.mark.parametrize("method", ["shor", "grover-adiabatic"])
+    def test_huge_modulus_is_refused_before_it_is_classified(self, method, capsys):
+        # 14 001 bits with no small factor: Miller-Rabin alone took over 4 s
+        start = time.perf_counter()
+        assert run(["factor", str(2**14000 + 1), "--method", method, "--seed", "1"]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err == (
+            "error: modulus of 14001 bits is beyond the simulator's signed "
+            "64-bit range (N < 2^63)\n")
+
+    @pytest.mark.parametrize("method", ["shor", "grover-adiabatic"])
     def test_modulus_beyond_int64_is_a_usage_error(self, method, capsys):
         assert run(["factor", str(2**63 + 1), "--method", method, "--seed", "1"]) == 2
         assert "signed 64-bit range" in capsys.readouterr().err

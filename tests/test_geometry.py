@@ -479,6 +479,7 @@ class TestIntegrateGeodesic:
              ties="tied", seed=2)
     @example(dim=5, fisher_const=1.0, dt=4e-3, segments=[0.017, 0, 0, 2, 0.0401],
              ties="signed zeros", seed=3)
+    @example(dim=2, fisher_const=1.0, dt=0.015625, segments=[], ties="tied", seed=0)
     def test_stops_equal_chained_calls(self, dim, fisher_const, dt, segments, ties, seed):
         """Bit for bit, errors included: the kernel's state at each stop is
         the last state of a chain of integrate_geodesic calls, and its rows
@@ -509,11 +510,12 @@ class TestIntegrateGeodesic:
         assert at_stops.xdot.tobytes() == \
             np.array([first.xdot] + [end.xdot for end in ends]).tobytes()
 
+        # The rows start at init itself: with no stops the chain makes no
+        # call, and init need not pass a call's entry checks.
         every_row = _rk4_to_stops(init, fisher_const, stops, dt, rows=True)
-        pieces = [integrate_geodesic(init, fisher_const, phi0, dt)] + chain
-        for name in ("phis", "x", "xdot"):
-            joined = np.concatenate([getattr(pieces[0], name)]
-                                    + [getattr(piece, name)[1:] for piece in pieces[1:]])
+        for name, start in (("phis", init.phi), ("x", init.x), ("xdot", init.xdot)):
+            joined = np.concatenate([np.array([start])]
+                                    + [getattr(piece, name)[1:] for piece in chain])
             assert getattr(every_row, name).tobytes() == joined.tobytes()
 
     def test_trajectory_contract(self):

@@ -11,8 +11,8 @@ and lists each changed command, with the reason, in CHANGES.md.  The
 digests hold for the numpy, Python and machine recorded in the file; under
 any other the test fails and asks for them to be regenerated and reviewed.
 
-The same loop counts the calls into the dense statevector reference: no
-command may reach it.
+The same loop counts the calls into the dense statevector reference and
+the ``StateVector`` constructions: no command may reach either.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from qgeodesic import cli
+from qgeodesic import StateVector, cli
 
 GOLDEN = Path(__file__).with_name("golden.json")
 OUT = "out"  # the --out target of every command not listed in UNWRITABLE
@@ -44,10 +44,10 @@ UNWRITABLE = {  # --out targets that cannot be written, relative to the run dire
 }
 
 # The dense reference: kept for the tests to compare against, never run by
-# a command.
+# a command.  StateVector constructions are counted beside these calls.
 DENSE = {
-    "states": ("phase_flip", "invert_about_average", "qft", "measure_register",
-               "_marked_mask"),
+    "states": ("new_uniform", "basis_state", "probabilities", "phase_flip",
+               "invert_about_average", "qft", "measure_register", "_marked_mask"),
     "grover": ("run_grover", "grover_step", "analytic_trajectory"),
     "period": ("build_register", "shor_project"),
 }
@@ -202,13 +202,14 @@ def _digests(args: list[str]) -> dict:
 @contextlib.contextmanager
 def _counting_dense_calls():
     """Wrap every binding of the dense reference functions, in every loaded
-    qgeodesic module, with a call counter; restore them on exit."""
+    qgeodesic module, and ``StateVector.__post_init__`` with a call counter;
+    restore them on exit."""
     originals = {}
     for layer, names in DENSE.items():
         module = importlib.import_module(f"qgeodesic.{layer}")
         for name in names:
             originals[getattr(module, name)] = f"{layer}.{name}"
-    calls = dict.fromkeys(originals.values(), 0)
+    calls = dict.fromkeys([*originals.values(), "states.StateVector"], 0)
 
     def counted(fn, label):
         @functools.wraps(fn)
@@ -217,7 +218,9 @@ def _counting_dense_calls():
             return fn(*args, **kwargs)
         return wrapper
 
-    patched = []
+    post_init = StateVector.__post_init__
+    patched = [(StateVector, "__post_init__", post_init)]
+    StateVector.__post_init__ = counted(post_init, "states.StateVector")
     for name, module in list(sys.modules.items()):
         if name == "qgeodesic" or name.startswith("qgeodesic."):
             for attr, value in list(vars(module).items()):

@@ -277,6 +277,12 @@ class TestShorSampleMatchesDense:
         with pytest.raises(ResourceLimitError):
             build_register(inst, memory_cap=q)
 
+    def test_unnormalised_column_is_refused(self, monkeypatch):
+        ifft = np.fft.ifft
+        monkeypatch.setattr(np.fft, "ifft", lambda a, **kwargs: 2 * ifft(a, **kwargs))
+        with pytest.raises(ValueError, match="state is not normalized"):
+            shor_sample(PeriodInstance(15, 2), np.random.default_rng(0))
+
 
 class TestContinuedFractions:
     @pytest.mark.parametrize("c,q,bound,expected", [
