@@ -82,15 +82,18 @@ class RecursionState:
     step: int = 0
 
 
+def _recursion_coefficients(n: int, m: int) -> tuple[float, float, float]:
+    """The recursion's weights (N-2M)/N, 2(N-M)/N and -2M/N."""
+    return (n - 2 * m) / n, 2 * (n - m) / n, -2 * m / n
+
+
 def recursion_step(s: RecursionState, n_items: int, n_marked: int = 1) -> RecursionState:
     """One Grover iteration of the two-amplitude recursion over M marked items.
 
     k' = (N-2M)/N k + 2(N-M)/N l,  l' = -2M/N k + (N-2M)/N l.
     """
-    n, m = n_items, n_marked
-    k = (n - 2 * m) / n * s.k + 2 * (n - m) / n * s.l
-    l = -2 * m / n * s.k + (n - 2 * m) / n * s.l
-    return RecursionState(k, l, s.step + 1)
+    same, to_k, to_l = _recursion_coefficients(n_items, n_marked)
+    return RecursionState(same * s.k + to_k * s.l, to_l * s.k + same * s.l, s.step + 1)
 
 
 def recursion_trajectory(
@@ -103,14 +106,15 @@ def recursion_trajectory(
         raise ValueError(f"steps must be >= 0, got {steps}")
     require_amplitudes((steps + 1) * 2, memory_cap, "trajectory")
     # recursion_step's arithmetic on floats, its coefficients computed once
-    n, m = inst.n_items, inst.n_marked
-    same, to_k, to_l = (n - 2 * m) / n, 2 * (n - m) / n, -2 * m / n
-    k = l = float(1.0 / np.sqrt(n))
-    rows = [(k, l)]
-    for _ in range(steps):
+    same, to_k, to_l = _recursion_coefficients(inst.n_items, inst.n_marked)
+    amps = np.empty((steps + 1, 2))
+    ks, ls = amps[:, 0], amps[:, 1]
+    ks[0] = ls[0] = k = l = float(1.0 / np.sqrt(inst.n_items))
+    for j in range(1, steps + 1):
         k, l = same * k + to_k * l, to_l * k + same * l
-        rows.append((k, l))
-    return np.array(rows)
+        ks[j] = k
+        ls[j] = l
+    return amps
 
 
 def analytic_trajectory(inst: GroverInstance, phis: np.ndarray) -> ProbabilityPath:
@@ -179,7 +183,7 @@ def optimal_iterations(inst: GroverInstance) -> int:
 
 def marked_mass_after(inst: GroverInstance, steps: int) -> float:
     """Closed-form total marked probability sin^2((2j + 1) theta)."""
-    return float(np.sin((2 * steps + 1) * inst.theta) ** 2)
+    return float(np.sin(phi_of_step(inst, steps)) ** 2)
 
 
 def grover_step(state: StateVector, marked) -> StateVector:

@@ -290,15 +290,6 @@ def _amplified_distribution(inst: PeriodInstance, memory_cap: int) -> tuple[np.n
     return p, steps
 
 
-def _period_from_samples(y: int, n: int, outcomes: list[int]) -> int | None:
-    """gcd of the differences to the first sample, which is the gcd of all
-    pairwise differences, verified and minimized."""
-    g = math.gcd(*(outcome - outcomes[0] for outcome in outcomes))
-    if g == 0:
-        return None
-    return _verified_minimal_period(y, n, g)
-
-
 def grover_period(
     inst: PeriodInstance,
     rng: np.random.Generator,
@@ -320,12 +311,14 @@ def grover_period(
     p, steps = _amplified_distribution(inst, memory_cap)
     oracle_calls = measurements = 0
     for round_index in range(1, max_rounds + 1):
-        outcomes = []
-        for _ in range(samples):
-            outcomes.append(int(rng.choice(p.size, p=p)))
-            oracle_calls += steps  # one oracle application per loop iteration
-            measurements += 1
-        period = _period_from_samples(y, n, outcomes)
+        # The gcd of the differences to the first sample is the gcd of all
+        # pairwise differences; it stays 0 while every sample is the same.
+        first, g = int(rng.choice(p.size, p=p)), 0
+        for _ in range(samples - 1):
+            g = math.gcd(g, int(rng.choice(p.size, p=p)) - first)
+        oracle_calls += samples * steps  # one oracle application per loop iteration
+        measurements += samples
+        period = _verified_minimal_period(y, n, g)
         if period is not None:
             return PeriodResult(
                 GROVER_ADIABATIC, period, oracle_calls, measurements, round_index, True)

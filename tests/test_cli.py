@@ -514,6 +514,50 @@ class TestAllocationCaps:
         assert capsys.readouterr().err == ""
 
 
+class TestTraceRows:
+    """grover-trace charges its output rows, per format, after its trajectory
+    and resampled path and before it interpolates the step columns."""
+
+    def test_rows_are_charged_before_they_are_built(self, capsys):
+        # 20 001 rows at 41 cells each; the trajectory (40 002 cells) and the
+        # resampled path (25 002 cells) fit the cap.  The run peaks at 1.1 MiB
+        # before the charge, where the csv rows would add about 13 MB.
+        tracemalloc.start()
+        try:
+            assert run(["grover-trace", "1024", "--marked", "0", "--steps", "20000",
+                        "--dphi", "0.1", "--memory-cap", "100000"]) == 3
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "resource error: trace rows needs 820041 amplitudes, cap is 100000\n")
+        assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+    def test_json_rows_are_charged_more(self, capsys):
+        args = ["grover-trace", "65536", "--marked", "0", "--steps", "1000",
+                "--memory-cap", "100000"]
+        assert run(args) == 0
+        assert capsys.readouterr().err == ""
+        assert run(args + ["--format", "json"]) == 3
+        assert capsys.readouterr().err == (
+            "resource error: trace rows needs 133133 amplitudes, cap is 100000\n")
+
+    def test_csv_peak_per_row(self, capsys):
+        # 655 B/row measured, with no dict per row
+        steps = 20000
+        tracemalloc.start()
+        try:
+            assert run(["grover-trace", "67108864", "--marked", "0",
+                        "--steps", str(steps)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert peak <= 700 * steps, f"{peak / steps:.0f} B/step"
+
+
 class TestFactorModuli:
     def test_prime_power_reports_the_prime(self, capsys):
         assert run(["factor", "81", "--method", "shor", "--seed", "1"]) == 2

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -336,9 +337,27 @@ class TestClassReduction:
         assert abs(m * s.k**2 - 1.0) < 1e-12
         assert abs(s.l) < 1e-12
 
+    def test_recursion_step_many_marked_arithmetic(self):
+        for n, m in ((3, 2), (7, 3), (256, 64), (1000, 999), (2**20, 2**19 + 5)):
+            s = RecursionState(0.3, -0.7, 5)
+            expected = RecursionState((n - 2 * m) / n * s.k + 2 * (n - m) / n * s.l,
+                                      -2 * m / n * s.k + (n - 2 * m) / n * s.l, 6)
+            assert recursion_step(s, n, m) == expected
+
     def test_negative_steps_rejected(self):
         with pytest.raises(ValueError):
             recursion_trajectory(single_marked(8), -1)
+
+    def test_trajectory_holds_only_its_array(self):
+        # 16 B/step measured: the (steps + 1, 2) float array, nothing beside it
+        steps = 10**5
+        tracemalloc.start()
+        try:
+            recursion_trajectory(single_marked(1024), steps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 20 * steps, f"{peak / steps:.1f} B/step"
 
     @settings(max_examples=60, deadline=None)
     @given(search_runs(max_items=2**20))

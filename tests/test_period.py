@@ -41,7 +41,6 @@ from qgeodesic.period import (
     PeriodResult,
     _amplified_distribution,
     _integer_root,
-    _period_from_samples,
     _prime_power_base,
     _verified_minimal_period,
 )
@@ -409,8 +408,21 @@ class TestVerifiedMinimalPeriod:
     def test_sample_difference_extraction(self):
         # gcd(|101-13|, |37-101|, |37-13|) = 8, minimized to the order 4
         assert math.gcd(math.gcd(88, 64), 24) == 8
-        assert _period_from_samples(2, 15, [13, 101, 37]) == 4
-        assert _period_from_samples(2, 15, [13, 13, 13]) is None
+
+        class Scripted:
+            """An rng whose readouts are the given outcomes in turn."""
+
+            def __init__(self, outcomes):
+                self.outcomes = iter(outcomes)
+
+            def choice(self, size, p):
+                return next(self.outcomes)
+
+        inst = PeriodInstance(15, 2)
+        found = grover_period(inst, Scripted([13, 101, 37]), samples=3, max_rounds=1)
+        assert found.succeeded and found.period == 4 and found.measurements == 3
+        same = grover_period(inst, Scripted([13, 13, 13]), samples=3, max_rounds=1)
+        assert not same.succeeded and same.period is None and same.measurements == 3
 
 
 class TestShorPeriod:
@@ -575,7 +587,8 @@ def measured_grover_period(inst, rng, samples, max_rounds):
             outcomes.append(measure_register(state, 0, rng)[0])
             oracle_calls += steps
             measurements += 1
-        found = _period_from_samples(inst.base, inst.modulus, outcomes)
+        g = math.gcd(*(outcome - outcomes[0] for outcome in outcomes))
+        found = _verified_minimal_period(inst.base, inst.modulus, g) if g else None
         if found is not None:
             return PeriodResult(
                 GROVER_ADIABATIC, found, oracle_calls, measurements, round_index, True)
