@@ -29,7 +29,6 @@ from .geometry import (
     GeodesicState,
     _residuals,
     _rk4_to_stops,
-    action,
     cumulative_action,
     fisher_discrete,
 )
@@ -124,11 +123,10 @@ def cmd_grover_trace(args: argparse.Namespace) -> int:
     fine = trace_path(inst, steps, args.dphi, args.memory_cap)
     require_amplitudes((steps + 1) * _TRACE_ROW_AMPLITUDES[args.format],
                        args.memory_cap, "trace rows")
-    fisher = fisher_discrete(fine).fisher
+    residuals, fisher = _residuals(fine, 2, fine.n_samples - 2)
     # Per-item residual: the class residual over sqrt(class size).
     res_phis = fine.phis[2:-2]
-    res_max = np.max(np.abs(_residuals(fine, 2, fine.n_samples - 2) / np.sqrt(sizes)),
-                     axis=1)
+    res_max = np.max(np.abs(residuals / np.sqrt(sizes)), axis=1)
     cumulative = cumulative_action(fine.phis, fisher)
     action_origin = np.interp(inst.theta, fine.phis, cumulative)
 
@@ -174,31 +172,22 @@ def cmd_geodesic_check(args: argparse.Namespace) -> int:
     dev_sim = float(np.max(np.abs(probs[:len(sim)] - sim)))
 
     fisher = fisher_discrete(fine).fisher
-    act = action(fine, theta, np.pi / 2)
+    # The path runs from theta to exactly pi/2: its whole action.
+    act = float(cumulative_action(fine.phis, fisher)[-1])
     dist = float(np.arccos(uniform[0]))  # Fubini-Study distance to the marked class
 
-    tol_integrator = 1e-6
-    tol_action = 5.0 * dphi * dphi
-    tol_fisher = max(1e-3, 10.0 * dphi * dphi)
+    def check(error_name, error, tolerance, **values):
+        return {**values, error_name: error, "tolerance": tolerance,
+                "passed": bool(error <= tolerance)}
+
     checks = {
-        "integrator_vs_simulation": {
-            "max_abs_error": dev_sim, "tolerance": tol_integrator,
-            "passed": dev_sim <= tol_integrator,
-        },
-        "integrator_vs_analytic": {
-            "max_abs_error": dev_analytic, "tolerance": tol_integrator,
-            "passed": dev_analytic <= tol_integrator,
-        },
-        "action_vs_distance": {
-            "action": act, "fubini_study_distance": dist,
-            "abs_error": abs(act - dist), "tolerance": tol_action,
-            "passed": abs(act - dist) <= tol_action,
-        },
-        "fisher_constancy": {
-            "max_abs_deviation": float(np.max(np.abs(fisher - 4.0))),
-            "tolerance": tol_fisher,
-            "passed": bool(np.max(np.abs(fisher - 4.0)) <= tol_fisher),
-        },
+        "integrator_vs_simulation": check("max_abs_error", dev_sim, 1e-6),
+        "integrator_vs_analytic": check("max_abs_error", dev_analytic, 1e-6),
+        "action_vs_distance": check("abs_error", abs(act - dist), 5.0 * dphi * dphi,
+                                    action=act, fubini_study_distance=dist),
+        "fisher_constancy": check("max_abs_deviation",
+                                  float(np.max(np.abs(fisher - 4.0))),
+                                  max(1e-3, 10.0 * dphi * dphi)),
     }
     passed = all(c["passed"] for c in checks.values())
     report = {

@@ -203,8 +203,9 @@ def _second_derivative(coords: np.ndarray, phis: np.ndarray) -> np.ndarray:
     ) / (h1 * h2 * (h1 + h2))
 
 
-def _residuals(path: ProbabilityPath, lo: int, hi: int) -> np.ndarray:
-    """Geodesic equation-of-motion residual rows for samples lo..hi-1.
+def _residuals(path: ProbabilityPath, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Geodesic equation-of-motion residual rows for samples lo..hi-1, and
+    the Fisher function at every sample that they are built from.
 
     Evaluates xddot_i - (fisherdot/fisher) xdot_i + (fisher/4) x_i per
     coordinate with finite-difference derivatives; raises if fisher falls
@@ -220,7 +221,7 @@ def _residuals(path: ProbabilityPath, lo: int, hi: int) -> np.ndarray:
     fdot = np.gradient(fisher, path.phis, edge_order=2)
     xddot = _second_derivative(coords, path.phis)[lo - 1:hi - 1]
     return xddot - (fdot[lo:hi] / fisher[lo:hi])[:, np.newaxis] * xdot[lo:hi] \
-        + (fisher[lo:hi] / 4.0)[:, np.newaxis] * coords[lo:hi]
+        + (fisher[lo:hi] / 4.0)[:, np.newaxis] * coords[lo:hi], fisher
 
 
 def geodesic_residual_profile(path: ProbabilityPath) -> tuple[np.ndarray, np.ndarray]:
@@ -232,7 +233,7 @@ def geodesic_residual_profile(path: ProbabilityPath) -> tuple[np.ndarray, np.nda
     """
     _require_samples(path, 5)
     lo, hi = 2, path.n_samples - 2  # slice end, valid indices 2..n-3
-    return path.phis[lo:hi].copy(), np.max(np.abs(_residuals(path, lo, hi)), axis=1)
+    return path.phis[lo:hi].copy(), np.max(np.abs(_residuals(path, lo, hi)[0]), axis=1)
 
 
 def integrate_geodesic(

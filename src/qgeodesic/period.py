@@ -285,7 +285,8 @@ def _amplified_distribution(inst: PeriodInstance, memory_cap: int) -> tuple[np.n
     k, l = recursion_trajectory(search, steps, memory_cap)[-1]
     m = search.n_marked
     require_normalized(float(m * k * k + (q - m) * l * l))
-    p = np.where(search.marked_mask(), k * k, l * l)
+    p = np.full(q, l * l)
+    p[search.marked] = k * k
     p /= p.sum()
     return p, steps
 
@@ -311,11 +312,11 @@ def grover_period(
     p, steps = _amplified_distribution(inst, memory_cap)
     oracle_calls = measurements = 0
     for round_index in range(1, max_rounds + 1):
-        # The gcd of the differences to the first sample is the gcd of all
-        # pairwise differences; it stays 0 while every sample is the same.
-        first, g = int(rng.choice(p.size, p=p)), 0
-        for _ in range(samples - 1):
-            g = math.gcd(g, int(rng.choice(p.size, p=p)) - first)
+        # One choice call makes the draws of one call per readout.  The gcd
+        # of the differences to the first readout is the gcd of all pairwise
+        # differences; it is 0 when every readout is the same.
+        first, *rest = rng.choice(p.size, samples, p=p).tolist()
+        g = math.gcd(*(outcome - first for outcome in rest))
         oracle_calls += samples * steps  # one oracle application per loop iteration
         measurements += samples
         period = _verified_minimal_period(y, n, g)

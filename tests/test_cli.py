@@ -16,7 +16,7 @@ import pytest
 
 from qgeodesic import GeodesicState, GroverInstance, action, cli, geometry
 from qgeodesic.cli import _emit, _parse_marked, main
-from qgeodesic.grover import trace_path
+from qgeodesic.grover import amplification_path, trace_path
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
@@ -46,6 +46,22 @@ def parse_trace_csv(text):
         row = dict(zip(header, values))
         rows.append(row)
     return header, rows
+
+
+def derivative_passes(monkeypatch, capsys, args):
+    """Runs of geometry._derivatives, the finite-difference pass over the
+    resampled path, in one successful command."""
+    calls = []
+    derivatives = geometry._derivatives
+
+    def counting(path):
+        calls.append(path.n_samples)
+        return derivatives(path)
+
+    monkeypatch.setattr(geometry, "_derivatives", counting)
+    assert run(args) == 0
+    capsys.readouterr()
+    return len(calls)
 
 
 class TestGroverTrace:
@@ -107,6 +123,13 @@ class TestGroverTrace:
             expected = action(fine, inst.theta, row["phi"])
             assert row["action_cumulative"] == pytest.approx(expected, abs=1e-12)
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_one_derivative_pass(self, monkeypatch, capsys, fmt):
+        # the Fisher column comes from the residual pass, not a second one
+        assert derivative_passes(monkeypatch, capsys, [
+            "grover-trace", "1024", "--marked", "1,2,3", "--steps", "40",
+            "--format", fmt]) == 1
+
     def test_empty_marked_exits_2(self, capsys):
         assert run(["grover-trace", "4", "--marked", "", "--steps", "1"]) == 2
         assert "error" in capsys.readouterr().err
@@ -160,6 +183,23 @@ class TestGeodesicCheck:
 
     def test_degenerate_instance_exits_2(self):
         assert run(["geodesic-check", "1"]) == 2
+
+    def test_one_derivative_pass(self, monkeypatch, capsys):
+        # the action is integrated from the Fisher estimate already made
+        assert derivative_passes(monkeypatch, capsys, ["geodesic-check", "8192"]) == 1
+
+    @pytest.mark.parametrize("dphi", [None, "0.1", "0.001"])
+    @pytest.mark.parametrize("n_items", [2, 3, 4, 1024, 2**26])
+    def test_action_is_the_path_action(self, capsys, n_items, dphi):
+        # the path runs from theta to exactly pi/2, so its whole cumulative
+        # action is action(path, theta, pi/2), bit for bit
+        options = [] if dphi is None else ["--dphi", dphi]
+        run(["geodesic-check", str(n_items), *options])
+        report = json.loads(capsys.readouterr().out)
+        inst = GroverInstance(n_items, [0])
+        fine = amplification_path(inst, 0.01 if dphi is None else float(dphi))
+        assert report["checks"]["action_vs_distance"]["action"] \
+            == action(fine, inst.theta, np.pi / 2)
 
     def test_one_state_per_segment(self, monkeypatch, capsys):
         # N = 8192: the targets of recursion steps 0..70 plus the final
@@ -281,6 +321,29 @@ class TestCompareCommand:
     def test_memory_cap_exits_3(self):
         assert run(["compare", "15", "2", "--seed", "1",
                     "--memory-cap", "64"]) == 3
+
+
+class TestNoItemMask:
+    """The period commands hold the marked set as an index array; only the
+    dense reference builds the q-long mask."""
+
+    @pytest.mark.parametrize("args", [
+        ["compare", "91", "2", "--seed", "4"],
+        ["compare", "1023", "1022", "--seed", "0"],
+        # seeds whose first base shares no factor with N, so the
+        # amplification route runs
+        *(["factor", n, "--method", "grover-adiabatic", "--seed", seed]
+          for n, seed in (("21", "1"), ("21", "2"), ("35", "1"), ("35", "2"),
+                          ("45", "0"), ("45", "1"), ("45", "2"))),
+    ])
+    def test_never_built(self, monkeypatch, capsys, args):
+        masks = []
+        marked_mask = GroverInstance.marked_mask
+        monkeypatch.setattr(GroverInstance, "marked_mask",
+                            lambda inst: masks.append(inst) or marked_mask(inst))
+        assert run(args) == 0
+        capsys.readouterr()
+        assert masks == []
 
 
 class TestDeterminism:

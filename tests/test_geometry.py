@@ -28,7 +28,7 @@ from qgeodesic import (
     run_grover,
     unitarity_identity_check,
 )
-from qgeodesic.geometry import _rk4_to_stops
+from qgeodesic.geometry import _residuals, _rk4_to_stops
 
 
 def grover_fine_path(n, dphi=0.01, lo=None, hi=np.pi / 2):
@@ -349,6 +349,17 @@ class TestGeodesicResidual:
     def test_stationary_path_guard(self):
         with pytest.raises(ValueError, match="at sample 2 below guard"):
             geodesic_residual_profile(constant_path([0.5, 0.5]))
+
+    @pytest.mark.parametrize("phase", [0.0, 1.0])
+    @pytest.mark.parametrize("n", [2, 8])
+    def test_residual_pass_returns_the_fisher_estimate(self, n, phase):
+        path = grover_fine_path(n)
+        if phase:  # a phase winding on the marked item's amplitude
+            amps = path.amps.astype(complex)
+            amps[:, 0] *= np.exp(1j * phase * path.phis)
+            path = ProbabilityPath(path.phis, path.probs, amps)
+        _, fisher = _residuals(path, 2, path.n_samples - 2)
+        assert fisher.tobytes() == fisher_discrete(path).fisher.tobytes()
 
 
 def tied_state(dim, ties, seed):

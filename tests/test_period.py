@@ -1,6 +1,7 @@
 """Number theory, register construction, both period finders, factoring."""
 
 import functools
+import itertools
 import json
 import math
 import tracemalloc
@@ -171,15 +172,15 @@ def assert_same_draws(n, y, seed):
 
 
 class RecordingGenerator:
-    """A seeded generator's ``choice`` that keeps every ``p`` it is given."""
+    """A seeded generator's ``choice`` that keeps the ``p`` of every call."""
 
     def __init__(self, seed):
         self.rng = np.random.default_rng(seed)
         self.ps = []
 
-    def choice(self, a, p):
+    def choice(self, a, size=None, p=None):
         self.ps.append(p)
-        return self.rng.choice(a, p=p)
+        return self.rng.choice(a, size, p=p)
 
 
 class TestModexpTable:
@@ -410,13 +411,14 @@ class TestVerifiedMinimalPeriod:
         assert math.gcd(math.gcd(88, 64), 24) == 8
 
         class Scripted:
-            """An rng whose readouts are the given outcomes in turn."""
+            """An rng whose one round of readouts is the given outcomes."""
 
             def __init__(self, outcomes):
-                self.outcomes = iter(outcomes)
+                self.outcomes = outcomes
 
-            def choice(self, size, p):
-                return next(self.outcomes)
+            def choice(self, size, count, p):
+                assert count == len(self.outcomes)
+                return np.array(self.outcomes)
 
         inst = PeriodInstance(15, 2)
         found = grover_period(inst, Scripted([13, 101, 37]), samples=3, max_rounds=1)
@@ -527,6 +529,16 @@ class TestGroverPeriod:
         with pytest.raises(ValueError):
             grover_period(PeriodInstance(15, 2), np.random.default_rng(0), samples=1)
 
+    def test_one_choice_call_per_round(self):
+        rounds = []
+        for (n, y), samples in zip(SWEEP, itertools.cycle((2, 3, 5))):
+            for seed in range(3):
+                rng = RecordingGenerator(seed)
+                result = grover_period(PeriodInstance(n, y), rng, samples=samples)
+                assert len(rng.ps) == result.attempts
+                rounds.append(result.attempts)
+        assert max(rounds) > 1
+
     def test_deterministic(self):
         runs = [grover_period(PeriodInstance(35, 2), np.random.default_rng(3))
                 for _ in range(2)]
@@ -611,6 +623,23 @@ class TestBornDrawReadouts:
                                           samples=samples, max_rounds=rounds)
                     assert drawn == measured_grover_period(
                         inst, np.random.default_rng(seed), samples, rounds)
+
+
+class TestReadoutDrawIdentity:
+    """``Generator.choice`` with k outcomes makes the draws of k single
+    calls and leaves the generator in the same state; grover_period draws
+    each round's readouts with one call on this identity."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from([0.0, 1e-9, 0.5]) | st.floats(0.0, 1.0),
+                    min_size=1, max_size=40).filter(lambda w: sum(w) > 0),
+           st.integers(2, 8), st.integers(0, 2**64 - 1))
+    def test_one_call_draws_as_single_calls(self, weights, k, seed):
+        p = np.array(weights) / sum(weights)
+        batched, single = np.random.default_rng(seed), np.random.default_rng(seed)
+        drawn = batched.choice(p.size, k, p=p).tolist()
+        assert drawn == [int(single.choice(p.size, p=p)) for _ in range(k)]
+        assert batched.bit_generator.state == single.bit_generator.state
 
 
 class TestFactor:
