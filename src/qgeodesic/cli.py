@@ -18,10 +18,10 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import json
 import os
 import sys
 import tempfile
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -65,7 +65,8 @@ TRACE_COLUMNS = (
 
 # Peak bytes per output row while grover-trace builds its text, in 16-byte
 # amplitude units: tracemalloc of `grover-trace 67108864 --marked 0 --steps
-# 20000` peaks at 655 B/row for csv and 2117 B/row for json.
+# 20000` peaks at 655 B/row for csv and 1133 B/row for json.  The json charge
+# is the 2117 B/row that json.dumps took, kept so that no cap case moves.
 _TRACE_ROW_AMPLITUDES = {"csv": 41, "json": 133}
 
 
@@ -100,7 +101,81 @@ def _emit(text: str, path: str | None):
 
 
 def _json_text(document: dict) -> str:
-    return json.dumps(document, indent=2, sort_keys=True) + "\n"
+    """``json.dumps(document, indent=2, sort_keys=True) + "\\n"``, byte for
+    byte.  json runs its pure-Python encoder, a generator per container,
+    whenever ``indent`` is set; this formats each container with one join."""
+    return _json_value(document, "\n") + "\n"
+
+
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_float(value: float) -> str:
+    """A float as json writes it: its repr, or NaN and +-Infinity."""
+    text = float.__repr__(value)
+    return _NONFINITE.get(text, text)
+
+
+_JSON_SCALARS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _json_float,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+@functools.cache  # one entry per type written: a handful
+def _json_scalar(kind: type):
+    """json's formatter for a scalar of this type, or None for any other
+    type; a subclass of str, int or float is written as its base."""
+    for base in (kind, str, int, float):
+        if base in _JSON_SCALARS and issubclass(kind, base):
+            return _JSON_SCALARS[base]
+    return None
+
+
+def _json_key(key) -> str:
+    """A dict key as json writes it: a scalar's JSON text, as a string."""
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    scalar = _json_scalar(type(key))
+    if scalar is None:
+        raise TypeError(f"keys must be str, int, float, bool or None, "
+                        f"not {key.__class__.__name__}")
+    return f'"{scalar(key)}"'
+
+
+def _json_value(value, newline: str) -> str:
+    """One JSON value as json writes it at the depth whose line break and
+    indent is ``newline``."""
+    scalar = _json_scalar(type(value))
+    if scalar is not None:
+        return scalar(value)
+    if isinstance(value, (list, tuple)):
+        opener, closer = "[", "]"
+    elif isinstance(value, dict):
+        opener, closer = "{", "}"
+    else:
+        raise TypeError(f"Object of type {value.__class__.__name__} "
+                        "is not JSON serializable")
+    if not value:
+        return opener + closer
+    inner = newline + "  "
+    separator = "," + inner
+    if opener == "{":
+        items = [f"{_json_key(key)}: {_json_value(item, inner)}"
+                 for key, item in sorted(value.items())]
+    elif all(type(item) is float for item in value):
+        # Finite reprs hold no "n"; nan and inf take json's spelling.
+        text = separator.join(map(float.__repr__, value))
+        items = [text] if "n" not in text else list(map(_json_float, value))
+    else:
+        items = [_json_value(item, inner) for item in value]
+    # The brackets join the first and last items, so the body is copied once.
+    items[0] = opener + inner + items[0]
+    items[-1] += newline + closer
+    return separator.join(items)
 
 
 def _trace_csv(rows) -> str:

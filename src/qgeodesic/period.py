@@ -88,10 +88,28 @@ class PeriodInstance:
         object.__setattr__(self, "register_size", default_register_size(n))
 
     @functools.cached_property
+    def orbit(self) -> np.ndarray:
+        """y^j mod N for j in [0, r), r the order of y, read-only, built on
+        first use.  f(a) = y^a mod N is orbit[a % r], so the commands read
+        the marginal, the projected column and the marked set off these r
+        values.  The walk takes r < N Python steps: under 8 192 for any
+        modulus whose register fits the default cap."""
+        n, y = self.modulus, self.base
+        values = [1]
+        value = y
+        while value != 1:
+            values.append(value)
+            value = value * y % n
+        orbit = np.array(values, dtype=np.int64)
+        orbit.flags.writeable = False
+        return orbit
+
+    @functools.cached_property
     def table(self) -> np.ndarray:
         """f(a) = y^a mod N for a in [0, q), read-only, built on first use by
         doubling: entries [s, 2s) are entries [0, s) times y^s.  Products
-        stay below N^2 < q, within int64."""
+        stay below N^2 < q, within int64.  Only ``build_register``, the dense
+        reference, reads it."""
         q, n = self.register_size, self.modulus
         table = np.empty(q, dtype=np.int64)
         table[0] = 1
@@ -168,9 +186,49 @@ def continued_fraction_denominator(c: int, q: int, bound: int) -> int | None:
 
 
 def marked_arguments(inst: PeriodInstance) -> np.ndarray:
-    """All a in [0, q) with y^a = y (mod N); the support of the amplified state."""
-    table = inst.table
-    return np.nonzero(table == table[1])[0]
+    """All a in [0, q) with y^a = y (mod N), the a = 1 (mod r); the support
+    of the amplified state."""
+    return np.arange(1, inst.register_size, inst.orbit.size, dtype=np.int64)
+
+
+def _value_marginal(inst: PeriodInstance) -> np.ndarray:
+    """The distribution of f(a) over the N function values for uniform a in
+    [0, q), normalised: value y^j (j < r) is taken by the (q - 1 - j) // r + 1
+    arguments a = j (mod r)."""
+    q, orbit = inst.register_size, inst.orbit
+    r = orbit.size
+    marginal = np.zeros(inst.modulus)
+    marginal[orbit] = (q - 1 - np.arange(r)) // r + 1
+    marginal /= q
+    return marginal / marginal.sum()
+
+
+def _projected_column(inst: PeriodInstance, value: int) -> np.ndarray:
+    """The argument register after the function register reads ``value`` =
+    y^j: uniform on the progression a = j, j + r, ... below q."""
+    orbit = inst.orbit
+    j = orbit.tolist().index(value)
+    amps = np.zeros(inst.register_size, dtype=np.complex128)
+    support = amps[j::orbit.size]
+    support[:] = 1.0 / np.sqrt(support.size)
+    return amps
+
+
+def _readout_cdf(p: np.ndarray) -> np.ndarray:
+    """The cumulative distribution that ``Generator.choice(p.size, p=p)``
+    draws from (numpy 2.4.6 builds ``p.cumsum()`` and divides it by its last
+    entry), built in p's own memory.  p is non-negative and normalised where
+    it is made, so choice's checks of it are not repeated."""
+    np.cumsum(p, out=p)
+    p /= p[-1]
+    return p
+
+
+def _draw(cdf: np.ndarray, rng: np.random.Generator, size: int | None = None):
+    """``choice``'s readouts from the distribution with this CDF: one
+    ``rng.random(size)`` call, each uniform placed by binary search.  The
+    same indices and generator state as ``rng.choice(cdf.size, size, p=p)``."""
+    return cdf.searchsorted(rng.random(size), side="right")
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -218,23 +276,18 @@ def shor_sample(
     Raises :class:`ResourceLimitError` if the q amplitudes of the argument
     register exceed ``memory_cap``.
     """
-    q, n = inst.register_size, inst.modulus
-    require_amplitudes(q, memory_cap, "register")
-    table = inst.table
-    marginal = np.bincount(table, minlength=n) / q
-    marginal = marginal / marginal.sum()
-    l = int(rng.choice(n, p=marginal))
-    column = table == l
-    amps = np.zeros(q, dtype=np.complex128)
-    amps[column] = 1.0 / np.sqrt(np.count_nonzero(column))
+    require_amplitudes(inst.register_size, memory_cap, "register")
+    l = int(_draw(_readout_cdf(_value_marginal(inst)), rng))
+    amps = _projected_column(inst, l)
     # The readout distribution of measure_register, without its collapse:
-    # qft's transform, taken in place, and |c|^2 normalised in place.
+    # qft's transform, taken in place, |c|^2 normalised in place, and its
+    # CDF built in place.
     p = np.abs(np.fft.ifft(amps, norm="ortho", out=amps))
     np.square(p, out=p)
     total = p.sum()
     require_normalized(float(total))
     p /= total
-    c = int(rng.choice(q, p=p))
+    c = int(_draw(_readout_cdf(p), rng))
     return l, c
 
 
@@ -310,12 +363,14 @@ def grover_period(
         raise ValueError(f"need at least 2 samples, got {samples}")
     y, n = inst.base, inst.modulus
     p, steps = _amplified_distribution(inst, memory_cap)
+    cdf = _readout_cdf(p)
     oracle_calls = measurements = 0
     for round_index in range(1, max_rounds + 1):
-        # One choice call makes the draws of one call per readout.  The gcd
-        # of the differences to the first readout is the gcd of all pairwise
-        # differences; it is 0 when every readout is the same.
-        first, *rest = rng.choice(p.size, samples, p=p).tolist()
+        # One draw of `samples` readouts makes the draws of one call per
+        # readout.  The gcd of the differences to the first readout is the
+        # gcd of all pairwise differences; it is 0 when every readout is the
+        # same.
+        first, *rest = _draw(cdf, rng, samples).tolist()
         g = math.gcd(*(outcome - first for outcome in rest))
         oracle_calls += samples * steps  # one oracle application per loop iteration
         measurements += samples

@@ -13,9 +13,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qgeodesic import GeodesicState, GroverInstance, action, cli, geometry
-from qgeodesic.cli import _emit, _parse_marked, main
+from qgeodesic.cli import _emit, _json_text, _parse_marked, main
 from qgeodesic.grover import amplification_path, trace_path
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
@@ -546,19 +548,31 @@ class TestAllocationCaps:
         assert captured.err == (
             "resource error: resampled path needs inf amplitudes, cap is 67108864\n")
 
-    def test_compare_peak_is_a_few_registers(self, capsys):
+    @staticmethod
+    def peak_in_registers(args, capsys):
         # q = 2^20 with M = 2^19 marked: the charged register is q complex
-        # amplitudes (16 MiB); the period search holds only the sizes and
-        # one int64 index array on top of the uncharged int64 modexp table.
-        register_bytes = (1 << 20) * 16
+        # amplitudes (16 MiB); f(a) is read off the orbit of y, so there is
+        # no q-long modexp table.
         tracemalloc.start()
         try:
-            assert run(["compare", "1023", "1022", "--seed", "1"]) == 0
+            assert run(args) == 0
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3.5 * register_bytes, f"peak {peak / 2**20:.1f} MiB"
         capsys.readouterr()
+        return peak / ((1 << 20) * 16)
+
+    def test_compare_peak_is_a_few_registers(self, capsys):
+        # the Shor readout holds the complex column and its float distribution
+        registers = self.peak_in_registers(["compare", "1023", "1022", "--seed", "1"], capsys)
+        assert registers <= 1.75, f"peak {registers:.2f} registers"
+
+    def test_amplified_factor_peak_is_under_a_register(self, capsys):
+        # the amplified readout holds one float distribution and the marked
+        # arguments' int64 indices
+        registers = self.peak_in_registers(
+            ["factor", "1023", "--method", "grover-adiabatic", "--seed", "1"], capsys)
+        assert registers <= 0.6, f"peak {registers:.2f} registers"
 
     def test_shor_fits_where_the_pair_state_did_not(self, capsys):
         # q = 256 fits, q * N = 3840 would not
@@ -607,18 +621,88 @@ class TestTraceRows:
         assert capsys.readouterr().err == (
             "resource error: trace rows needs 133133 amplitudes, cap is 100000\n")
 
-    def test_csv_peak_per_row(self, capsys):
-        # 655 B/row measured, with no dict per row
+    @staticmethod
+    def peak_per_row(options, capsys):
         steps = 20000
         tracemalloc.start()
         try:
             assert run(["grover-trace", "67108864", "--marked", "0",
-                        "--steps", str(steps)]) == 0
+                        "--steps", str(steps), *options]) == 0
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         capsys.readouterr()
-        assert peak <= 700 * steps, f"{peak / steps:.0f} B/step"
+        return peak / steps
+
+    def test_csv_peak_per_row(self, capsys):
+        # 655 B/row measured, with no dict per row
+        per_row = self.peak_per_row([], capsys)
+        assert per_row <= 700, f"{per_row:.0f} B/step"
+
+    def test_json_peak_per_row(self, capsys):
+        # within the json rows' charge of 133 cells a row; one dict per row
+        # and each row's text once
+        per_row = self.peak_per_row(["--format", "json"], capsys)
+        assert per_row <= cli._TRACE_ROW_AMPLITUDES["json"] * 16, f"{per_row:.0f} B/step"
+
+
+# Scalars that json writes in a spelling of its own, or that its string
+# escapes must carry through.
+json_floats = st.floats() | st.sampled_from(
+    [float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 1e16, 0.1])
+json_scalars = (st.none() | st.booleans() | st.integers() | json_floats
+                | st.text(st.characters(), max_size=8)
+                | json_floats.map(np.float64))
+text_keys = st.text(st.characters(), max_size=8)
+number_keys = st.integers() | json_floats | st.booleans()  # they sort among themselves
+
+
+def json_containers(children):
+    return st.one_of(
+        st.lists(children, max_size=5), st.lists(children, max_size=5).map(tuple),
+        st.lists(json_floats, max_size=5),
+        st.dictionaries(text_keys, children, max_size=5),
+        st.dictionaries(number_keys, children, max_size=5),
+        # None keys, and mixed keys that do not sort
+        st.dictionaries(text_keys | number_keys | st.none(), children, max_size=2))
+
+
+def json_documents():
+    return st.recursive(json_scalars, json_containers, max_leaves=30)
+
+
+def json_dumps_text(document):
+    return json.dumps(document, indent=2, sort_keys=True) + "\n"
+
+
+def same_outcome(write, reference, document):
+    """Both writers' text, or the type of the error both raise."""
+    try:
+        expected = reference(document)
+    except TypeError:
+        with pytest.raises(TypeError):
+            write(document)
+        return
+    assert write(document) == expected
+
+
+class TestJsonWriter:
+    """The reports' writer is json.dumps(indent=2, sort_keys=True) byte for
+    byte, without json's pure-Python encoder."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(json_documents())
+    def test_equals_json_dumps(self, document):
+        same_outcome(_json_text, json_dumps_text, document)
+
+    @pytest.mark.parametrize("document", [
+        {"a": np.int64(1)}, [np.int64(1)], np.int64(1), {np.int64(1): 0},
+        {"rows": [{"step": 0, "phi": np.int64(2)}]}])
+    def test_int64_is_refused_by_both(self, document):
+        with pytest.raises(TypeError):
+            json_dumps_text(document)
+        with pytest.raises(TypeError):
+            _json_text(document)
 
 
 class TestFactorModuli:

@@ -11,8 +11,12 @@ and lists each changed command, with the reason, in CHANGES.md.  The
 digests hold for the numpy, Python and machine recorded in the file; under
 any other the test fails and asks for them to be regenerated and reviewed.
 
-The same loop counts the calls into the dense statevector reference and
-the ``StateVector`` constructions: no command may reach either.
+The same loop counts the calls into the dense statevector reference, the
+``StateVector`` constructions and the builds of ``PeriodInstance.table``,
+the q-long modexp table: no command may reach any of them.
+
+``tests/parity.py`` reuses the runner and digests for a longer command
+list, against any git revision.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from qgeodesic import StateVector, cli
+from qgeodesic import PeriodInstance, StateVector, cli
 
 GOLDEN = Path(__file__).with_name("golden.json")
 OUT = "out"  # the --out target of every command not listed in UNWRITABLE
@@ -202,14 +206,15 @@ def _digests(args: list[str]) -> dict:
 @contextlib.contextmanager
 def _counting_dense_calls():
     """Wrap every binding of the dense reference functions, in every loaded
-    qgeodesic module, and ``StateVector.__post_init__`` with a call counter;
-    restore them on exit."""
+    qgeodesic module, ``StateVector.__post_init__`` and the build of
+    ``PeriodInstance.table`` with a call counter; restore them on exit."""
     originals = {}
     for layer, names in DENSE.items():
         module = importlib.import_module(f"qgeodesic.{layer}")
         for name in names:
             originals[getattr(module, name)] = f"{layer}.{name}"
-    calls = dict.fromkeys([*originals.values(), "states.StateVector"], 0)
+    calls = dict.fromkeys([*originals.values(), "states.StateVector",
+                           "period.PeriodInstance.table"], 0)
 
     def counted(fn, label):
         @functools.wraps(fn)
@@ -219,8 +224,13 @@ def _counting_dense_calls():
         return wrapper
 
     post_init = StateVector.__post_init__
-    patched = [(StateVector, "__post_init__", post_init)]
+    table = vars(PeriodInstance)["table"]
+    patched = [(StateVector, "__post_init__", post_init), (PeriodInstance, "table", table)]
     StateVector.__post_init__ = counted(post_init, "states.StateVector")
+    counted_table = functools.cached_property(
+        counted(table.func, "period.PeriodInstance.table"))
+    counted_table.__set_name__(PeriodInstance, "table")
+    PeriodInstance.table = counted_table
     for name, module in list(sys.modules.items()):
         if name == "qgeodesic" or name.startswith("qgeodesic."):
             for attr, value in list(vars(module).items()):
@@ -239,25 +249,26 @@ def _environment() -> dict:
             "python": ".".join(platform.python_version_tuple()[:2])}
 
 
-def run_all() -> tuple[dict, dict]:
-    """Digests of every command and the calls into the dense reference,
-    from a fresh temporary directory with the usage text width fixed."""
+def run_all(commands: list[list[str]] = COMMANDS) -> dict:
+    """Digests of every command, from a fresh temporary directory with the
+    usage text width fixed."""
     cwd = os.getcwd()
     # argparse wraps its usage text to the terminal width
-    with mock.patch.dict(os.environ, COLUMNS="80"), \
-            tempfile.TemporaryDirectory() as workdir, _counting_dense_calls() as calls:
+    with mock.patch.dict(os.environ, COLUMNS="80"), tempfile.TemporaryDirectory() as workdir:
         os.chdir(workdir)
         try:
             os.mkdir("a-directory")
-            digests = {_key(args): _digests(args) for args in COMMANDS}
+            return {_key(args): _digests(args) for args in commands}
         finally:
             os.chdir(cwd)
-    return digests, calls
 
 
 @pytest.fixture(scope="module")
 def golden_run():
-    return run_all()
+    """The digests, and the calls into the dense reference while they ran."""
+    with _counting_dense_calls() as calls:
+        digests = run_all()
+    return digests, calls
 
 
 def test_outputs_match_the_golden_digests(golden_run):
@@ -284,7 +295,7 @@ def test_no_command_reaches_the_dense_reference(golden_run):
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit(f"usage: {sys.argv[0]} --write")
-    digests, _ = run_all()
+    digests = run_all()
     document = {"environment": _environment(), "commands": digests}
     GOLDEN.write_text(json.dumps(document, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(digests)} commands to {GOLDEN}")

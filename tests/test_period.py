@@ -172,15 +172,44 @@ def assert_same_draws(n, y, seed):
 
 
 class RecordingGenerator:
-    """A seeded generator's ``choice`` that keeps the ``p`` of every call."""
+    """A seeded generator's ``random`` that keeps the ``size`` of every call."""
 
     def __init__(self, seed):
         self.rng = np.random.default_rng(seed)
-        self.ps = []
+        self.sizes = []
 
-    def choice(self, a, size=None, p=None):
-        self.ps.append(p)
-        return self.rng.choice(a, size, p=p)
+    def random(self, size=None):
+        self.sizes.append(size)
+        return self.rng.random(size)
+
+
+@pytest.fixture
+def drawn_cdfs(monkeypatch):
+    """A copy of the CDF of every readout draw, in order."""
+    cdfs = []
+    draw = period._draw
+
+    def recording(cdf, rng, size=None):
+        cdfs.append(cdf.copy())
+        return draw(cdf, rng, size)
+
+    monkeypatch.setattr(period, "_draw", recording)
+    return cdfs
+
+
+def cached_property_builds(monkeypatch, name):
+    """Instances whose cached property ``name`` is built, one entry per build."""
+    builds = []
+    build = vars(PeriodInstance)[name].func
+
+    def counting(inst):
+        builds.append(inst)
+        return build(inst)
+
+    spy = functools.cached_property(counting)
+    spy.__set_name__(PeriodInstance, name)
+    monkeypatch.setattr(PeriodInstance, name, spy)
+    return builds
 
 
 class TestModexpTable:
@@ -197,32 +226,69 @@ class TestModexpTable:
             inst.table[0] = 5
         assert inst.table[0] == 1
 
-    @pytest.fixture
-    def table_builds(self, monkeypatch):
-        """Instances whose table is built, one entry per build."""
-        builds = []
-        build = vars(PeriodInstance)["table"].func
 
-        def counting(inst):
-            builds.append(inst)
-            return build(inst)
+def valid_instances(max_modulus):
+    """(N, y) with 3 <= N <= max_modulus, 1 < y < N coprime to N, and a
+    register size for N."""
+    return st.integers(3, max_modulus).filter(lambda n: n & (n - 1)).flatmap(
+        lambda n: st.tuples(st.just(n), st.sampled_from(valid_bases(n))
+                            if valid_bases(n) else st.nothing()))
 
-        spy = functools.cached_property(counting)
-        spy.__set_name__(PeriodInstance, "table")
-        monkeypatch.setattr(PeriodInstance, "table", spy)
-        return builds
 
-    def test_compare_builds_one_table(self, table_builds):
+def table_marginal(inst):
+    marginal = np.bincount(inst.table, minlength=inst.modulus) / inst.register_size
+    return marginal / marginal.sum()
+
+
+def table_column(inst, value):
+    column = inst.table == value
+    amps = np.zeros(inst.register_size, dtype=np.complex128)
+    amps[column] = 1.0 / np.sqrt(np.count_nonzero(column))
+    return amps
+
+
+class TestOrbit:
+    """The commands read f(a) = y^a mod N off its r values, never off the
+    q-long table; what they read equals the table's, byte for byte."""
+
+    @pytest.mark.parametrize("n,y", [(15, 2), (21, 2), (91, 3), (1023, 1022)])
+    def test_is_the_powers_up_to_the_order(self, n, y):
+        orbit = PeriodInstance(n, y).orbit
+        assert orbit.dtype == np.int64
+        assert orbit.tolist() == [pow(y, j, n) for j in range(order_bruteforce(y, n))]
+        with pytest.raises(ValueError):
+            orbit[0] = 5
+
+    @settings(max_examples=150, deadline=None)
+    @given(valid_instances(400), st.integers(0, 2**16))
+    def test_reads_equal_the_tables(self, case, pick):
+        n, y = case
+        inst = PeriodInstance(n, y)
+        assert inst.orbit.size == order_bruteforce(y, n)
+        assert period._value_marginal(inst).tobytes() == table_marginal(inst).tobytes()
+        value = int(inst.orbit[pick % inst.orbit.size])
+        assert (period._projected_column(inst, value).tobytes()
+                == table_column(inst, value).tobytes())
+        table = inst.table
+        assert (marked_arguments(inst).tobytes()
+                == np.nonzero(table == table[1])[0].tobytes())
+
+    def test_compare_builds_one_orbit(self, monkeypatch):
+        orbits = cached_property_builds(monkeypatch, "orbit")
+        tables = cached_property_builds(monkeypatch, "table")
         inst = PeriodInstance(143, 108)
         compare_methods(inst, seed=1)
-        assert table_builds == [inst]
+        assert orbits == [inst] and tables == []
 
-    def test_factor_builds_one_table_per_base(self, table_builds):
+    def test_factor_builds_one_orbit_per_base(self, monkeypatch):
+        orbits = cached_property_builds(monkeypatch, "orbit")
+        tables = cached_property_builds(monkeypatch, "table")
         for method in (SHOR, GROVER_ADIABATIC):
-            table_builds.clear()
+            orbits.clear()
             result = factor(91, method, np.random.default_rng(3))  # three bases
             tried = [a["y"] for a in result.attempts if a["outcome"] != "shared-factor"]
-            assert [inst.base for inst in table_builds] == tried
+            assert [inst.base for inst in orbits] == tried
+        assert tables == []
 
 
 class TestShorSampleMatchesDense:
@@ -239,33 +305,32 @@ class TestShorSampleMatchesDense:
 
     @pytest.mark.parametrize("n,y", [(15, 2), (21, 5), (35, 2), (45, 7), (91, 3),
                                      (143, 2), (221, 7)])
-    def test_readout_is_the_qft_of_the_column(self, n, y):
-        """The in-place transform gives, bit for bit, the normalised |c|^2
-        of qft on the projected column."""
+    def test_readout_is_the_qft_of_the_column(self, n, y, drawn_cdfs):
+        """The in-place transform and cumulative sum give, bit for bit, the
+        CDF of the normalised |c|^2 of qft on the projected column."""
         inst = PeriodInstance(n, y)
         for seed in range(3):
-            rng = RecordingGenerator(seed)
-            l, _ = shor_sample(inst, rng)
-            column = inst.table == l
-            amps = np.zeros(inst.register_size, dtype=np.complex128)
-            amps[column] = 1.0 / np.sqrt(np.count_nonzero(column))
-            expected = np.abs(qft(StateVector(amps)).amplitudes) ** 2
-            assert rng.ps[1].tobytes() == (expected / expected.sum()).tobytes()
+            drawn_cdfs.clear()
+            l, _ = shor_sample(inst, np.random.default_rng(seed))
+            expected = np.abs(qft(StateVector(table_column(inst, l))).amplitudes) ** 2
+            cdf = np.cumsum(expected / expected.sum())
+            cdf /= cdf[-1]
+            assert len(drawn_cdfs) == 2  # the function value, then the frequency
+            assert drawn_cdfs[1].tobytes() == cdf.tobytes()
 
     def test_peak_is_the_column_and_its_distribution(self):
         # q = 2^20: the charged register is q complex amplitudes (16 MiB).
         # One call transforms the column in place and holds the q-long
-        # float distribution beside it; the modexp table is built before.
+        # float distribution beside it, whose CDF it builds in place.
         inst = PeriodInstance(1023, 1022)
         assert inst.register_size == 1 << 20
-        inst.table
         tracemalloc.start()
         try:
             shor_sample(inst, np.random.default_rng(1))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.25 * (1 << 20) * 16, f"peak {peak / 2**20:.1f} MiB"
+        assert peak <= 1.6 * (1 << 20) * 16, f"peak {peak / 2**20:.1f} MiB"
 
     def test_needs_q_amplitudes_not_q_times_n(self):
         inst = PeriodInstance(15, 2)
@@ -410,17 +475,22 @@ class TestVerifiedMinimalPeriod:
         # gcd(|101-13|, |37-101|, |37-13|) = 8, minimized to the order 4
         assert math.gcd(math.gcd(88, 64), 24) == 8
 
+        inst = PeriodInstance(15, 2)
+        p, _ = _amplified_distribution(inst, 1 << 26)
+        cdf = np.cumsum(p)
+        cdf /= cdf[-1]
+
         class Scripted:
-            """An rng whose one round of readouts is the given outcomes."""
+            """An rng whose one round of uniforms lands on the given outcomes."""
 
             def __init__(self, outcomes):
                 self.outcomes = outcomes
 
-            def choice(self, size, count, p):
-                assert count == len(self.outcomes)
-                return np.array(self.outcomes)
+            def random(self, size):
+                assert size == len(self.outcomes)
+                # the midpoint of each outcome's interval of the CDF
+                return np.array([(cdf[o - 1] + cdf[o]) / 2 for o in self.outcomes])
 
-        inst = PeriodInstance(15, 2)
         found = grover_period(inst, Scripted([13, 101, 37]), samples=3, max_rounds=1)
         assert found.succeeded and found.period == 4 and found.measurements == 3
         same = grover_period(inst, Scripted([13, 13, 13]), samples=3, max_rounds=1)
@@ -529,13 +599,19 @@ class TestGroverPeriod:
         with pytest.raises(ValueError):
             grover_period(PeriodInstance(15, 2), np.random.default_rng(0), samples=1)
 
-    def test_one_choice_call_per_round(self):
+    def test_one_random_call_per_round(self, monkeypatch):
+        builds = []
+        readout_cdf = period._readout_cdf
+        monkeypatch.setattr(period, "_readout_cdf",
+                            lambda p: builds.append(p.size) or readout_cdf(p))
         rounds = []
         for (n, y), samples in zip(SWEEP, itertools.cycle((2, 3, 5))):
             for seed in range(3):
                 rng = RecordingGenerator(seed)
+                builds.clear()
                 result = grover_period(PeriodInstance(n, y), rng, samples=samples)
-                assert len(rng.ps) == result.attempts
+                assert rng.sizes == [samples] * result.attempts
+                assert len(builds) == 1  # one CDF for every round
                 rounds.append(result.attempts)
         assert max(rounds) > 1
 
@@ -582,8 +658,9 @@ class TestAmplifiedStateMatchesDense:
             for seed in range(5):
                 reduced = grover_period(inst, np.random.default_rng(seed))
                 with monkeypatch.context() as patch:
+                    # a copy each call: grover_period builds its CDF in place
                     patch.setattr(period, "_amplified_distribution",
-                                  lambda *_: (dense_p, dense_steps))
+                                  lambda *_: (dense_p.copy(), dense_steps))
                     assert grover_period(inst, np.random.default_rng(seed)) == reduced
 
 
@@ -628,7 +705,20 @@ class TestBornDrawReadouts:
 class TestReadoutDrawIdentity:
     """``Generator.choice`` with k outcomes makes the draws of k single
     calls and leaves the generator in the same state; grover_period draws
-    each round's readouts with one call on this identity."""
+    each round's readouts with one call on this identity.  Both period
+    finders draw with choice's own steps, from a CDF built in place."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from([0.0, 1e-9, 0.5]) | st.floats(0.0, 1.0),
+                    min_size=1, max_size=40).filter(lambda w: sum(w) > 0),
+           st.sampled_from([None, 2, 3, 4, 5, 6, 7, 8]), st.integers(0, 2**64 - 1))
+    def test_cdf_draw_is_choice(self, weights, size, seed):
+        p = np.array(weights) / sum(weights)
+        by_cdf, by_choice = np.random.default_rng(seed), np.random.default_rng(seed)
+        drawn = period._draw(period._readout_cdf(p.copy()), by_cdf, size)
+        expected = by_choice.choice(p.size, size, p=p)
+        assert np.asarray(drawn).tolist() == np.asarray(expected).tolist()
+        assert by_cdf.bit_generator.state == by_choice.bit_generator.state
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.sampled_from([0.0, 1e-9, 0.5]) | st.floats(0.0, 1.0),
