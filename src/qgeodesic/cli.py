@@ -18,9 +18,9 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import itertools
 import os
 import sys
-import tempfile
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -78,21 +78,29 @@ def _fmt(value: float) -> str:
 def _emit(text: str, path: str | None):
     """Write atomically to ``path``, or to stdout when no path is given.
 
-    The text goes to a fresh temp file beside ``path`` that is renamed over
-    it, so overlapping runs never share a temp file and a failed write
+    The text goes to a new temp file ``<path>.<pid>.<n>.tmp`` beside
+    ``path`` that is renamed over it.  The file is created exclusively, so
+    overlapping runs and threads never share one (a name that exists
+    already is skipped for the next n), and with mode 0o666, which the
+    kernel narrows by the umask as it does for ``open()``.  A failed write
     leaves neither a temp file nor a partial target behind.
     """
     if path is None:
         sys.stdout.write(text)
         return
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
-                               prefix=os.path.basename(path) + ".", suffix=".tmp")
+    data = memoryview(text.encode("utf-8"))
+    stem = f"{os.path.abspath(path)}.{os.getpid()}."
+    for n in itertools.count():
+        tmp = f"{stem}{n}.tmp"
+        with contextlib.suppress(FileExistsError):
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)  # mkstemp creates 0600; match open()
+        try:
+            while data:  # a write may stop short, past 2 GiB on Linux
+                data = data[os.write(fd, data):]
+        finally:
+            os.close(fd)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
@@ -384,12 +392,30 @@ def build_parser() -> argparse.ArgumentParser:
     options(p_cmp, "out", "seed", "dphi", "memory-cap", "budget", "samples")
     p_cmp.set_defaults(run="cmd_compare")
 
+    parser.subcommands = sub.choices  # name -> subcommand parser, for main
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
+def _parse_args(argv: list[str] | None) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``: the same namespace, or the same
+    output and exit.  When argv[0] names a subcommand, argparse hands all
+    the rest to that subcommand's parser, so that parser is called
+    directly, and the top-level parser refuses what it leaves over with
+    argparse's own message."""
     parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = parser.subcommands.get(argv[0]) if argv else None
+    if command is None:  # no arguments, -h, or an unknown command
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:])
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    args.command = argv[0]
+    return args
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parse_args(argv)
     try:
         given = vars(args)
         for name, valid, message in _CHECKS:

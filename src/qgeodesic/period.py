@@ -105,6 +105,15 @@ class PeriodInstance:
         return orbit
 
     @functools.cached_property
+    def value_cdf(self) -> np.ndarray:
+        """The CDF that the function-register readout of
+        :func:`shor_sample` draws from, over the N values, read-only, built
+        on first use: every Shor attempt on this instance reads it."""
+        cdf = _readout_cdf(_value_marginal(self))
+        cdf.flags.writeable = False
+        return cdf
+
+    @functools.cached_property
     def table(self) -> np.ndarray:
         """f(a) = y^a mod N for a in [0, q), read-only, built on first use by
         doubling: entries [s, 2s) are entries [0, s) times y^s.  Products
@@ -277,7 +286,7 @@ def shor_sample(
     register exceed ``memory_cap``.
     """
     require_amplitudes(inst.register_size, memory_cap, "register")
-    l = int(_draw(_readout_cdf(_value_marginal(inst)), rng))
+    l = int(_draw(inst.value_cdf, rng))
     amps = _projected_column(inst, l)
     # The readout distribution of measure_register, without its collapse:
     # qft's transform, taken in place, |c|^2 normalised in place, and its
@@ -427,8 +436,16 @@ def _prime_power_base(n: int) -> int | None:
 
     n = p^e exactly when n = r^k for some prime k dividing e, and then
     r = p^(e/k) is p or again a power of p.  So only prime exponents k are
-    tried, and a root that is not prime is searched in turn.
+    tried, and a root that is not prime is searched in turn.  A prime of
+    :data:`_WITNESSES` that divides n is the only candidate for p, so n is
+    then compared with its powers and no root is taken.
     """
+    for p in _WITNESSES:
+        if n % p == 0:
+            power = p * p
+            while power < n:
+                power *= p
+            return p if power == n else None
     for k in range(2, n.bit_length() + 1):
         if _is_prime(k):
             root = _integer_root(n, k)

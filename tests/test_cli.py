@@ -1,11 +1,15 @@
 """Command-line behavior: outputs, formats, exit codes, determinism."""
 
+import contextlib
 import errno
+import io
 import json
 import os
 import stat
 import subprocess
 import sys
+import tempfile
+import threading
 import time
 import tracemalloc
 from importlib import resources
@@ -422,6 +426,97 @@ class TestParserReuse:
         assert main(["geodesic-check", "4"]) == 7
 
 
+COMMANDS = ("grover-trace", "geodesic-check", "factor", "compare")
+OPTION_STRINGS = (*(f"--{name}" for name in cli._OPTIONS),
+                  "--marked", "--steps", "--method", "-h", "--help")
+# Whole option strings, abbreviations such as --meth, and =-joined values.
+OPTIONS = st.sampled_from(OPTION_STRINGS).flatmap(lambda option: st.one_of(
+    st.just(option),
+    st.integers(2, len(option)).map(lambda k: option[:k]),
+    st.tuples(st.just(option), st.sampled_from(["1", "x", ""])).map("=".join)))
+VALUES = st.sampled_from(["15", "2", "0,5", "4", "shor", "grover-adiabatic", "csv",
+                          "json", "0.01", "1e-3", "-1", "-0.5", "0", "a.json"])
+JUNK = st.sampled_from(["--", "-", "-x", "--bogus", "-h", "-hx", "x", "", " ", "--=1",
+                        "facto", "Factor"]) | st.text(max_size=6)
+TOKENS = st.one_of(OPTIONS, VALUES, JUNK, st.sampled_from(COMMANDS))
+# Per subcommand, its arguments in chunks that parse: positionals, then
+# options with a value, required ones first.
+CHUNKS = {
+    "grover-trace": [["16"], ["--marked", "0,5"], ["--steps", "3"], ["--format", "json"],
+                     ["--dphi", "0.05"], ["--memory-cap", "99"], ["--out", "t.csv"]],
+    "geodesic-check": [["4"], ["--dphi", "0.1"], ["--memory-cap", "9"], ["--out", "g"]],
+    "factor": [["15"], ["--method", "shor"], ["--seed", "1"], ["--budget", "2"],
+               ["--samples", "3"], ["--memory-cap", "9"], ["--out", "f"]],
+    "compare": [["15", "2"], ["--seed", "-1"], ["--dphi", "0.01"], ["--budget", "4"],
+                ["--samples", "2"], ["--memory-cap", "9"], ["--out", "c"]],
+}
+
+
+@st.composite
+def command_argvs(draw):
+    """A subcommand with most of its chunks in any order, options at times
+    abbreviated, and at times a stray token put anywhere."""
+    command = draw(st.sampled_from(COMMANDS))
+    tokens = [token for chunk in draw(st.permutations(CHUNKS[command]))
+              if draw(st.integers(0, 5)) for token in chunk]
+    tokens = [token[:draw(st.integers(3, len(token)))]
+              if token.startswith("--") and draw(st.booleans()) else token
+              for token in tokens]
+    for _ in range(draw(st.integers(0, 2))):
+        tokens.insert(draw(st.integers(0, len(tokens))), draw(TOKENS))
+    return [command, *tokens]
+
+
+ARGVS = command_argvs() | st.lists(TOKENS, max_size=6)
+
+
+def parse_outcome(parse, argv):
+    """(namespace dict or None, exit code, stdout, stderr) of one parse."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return vars(parse(argv)), None, out.getvalue(), err.getvalue()
+        except SystemExit as exc:
+            return None, exc.code, out.getvalue(), err.getvalue()
+
+
+class TestParseBySubcommand:
+    """main parses with the named subcommand's parser and gives what the
+    whole argparse tree gives: the namespace, or the exit and its text."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(ARGVS)
+    def test_matches_the_top_level_parser(self, argv):
+        reference = parse_outcome(cli.build_parser().parse_args, argv)
+        assert parse_outcome(cli._parse_args, argv) == reference
+
+    @pytest.mark.parametrize("argv", [
+        ["factor", "15", "--method", "shor", "--seed", "1", "junk", "--x=1"],
+        ["geodesic-check", "4", "--", "5"],
+        ["compare", "-h"],
+        [], ["-h"], ["--help"], ["factr", "15"], ["--", "factor"],
+    ])
+    def test_edges(self, argv):
+        reference = parse_outcome(cli.build_parser().parse_args, argv)
+        assert parse_outcome(cli._parse_args, argv) == reference
+
+    def test_argv_defaults_to_the_process_arguments(self, monkeypatch):
+        argv = ["geodesic-check", "4", "--dphi", "0.1"]
+        monkeypatch.setattr(sys, "argv", ["qgeodesic", *argv])
+        assert cli._parse_args(None) == cli.build_parser().parse_args(argv)
+
+    def test_top_level_parser_is_not_run_for_a_named_subcommand(self, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("top-level parse")
+        monkeypatch.setattr(cli.build_parser(), "parse_known_args", refuse)
+        assert main(["grover-trace", "4", "--marked", "0", "--steps", "1"]) == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["geodesic-check", "4", "extra"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            "qgeodesic: error: unrecognized arguments: extra\n")
+
+
 class TestStdoutFallback:
     def test_trace_to_stdout(self, capsys):
         assert run(["grover-trace", "4", "--marked", "0", "--steps", "1"]) == 0
@@ -786,6 +881,74 @@ class TestAtomicWrite:
         with pytest.raises(OSError, match="device lost"):
             _emit("row\n" * 1000, str(tmp_path / "r.csv"))
         assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+    def test_mode_is_the_umask_of_0o666(self, tmp_path, umask):
+        # the umask is process-wide, so each case runs in its own process
+        target = tmp_path / "r.json"
+        src = str(Path(cli.__file__).resolve().parents[1])
+        script = ("import os, sys; os.umask(int(sys.argv[1])); "
+                  "from qgeodesic.cli import _emit; _emit('{}\\n', sys.argv[2])")
+        subprocess.run([sys.executable, "-c", script, str(umask), str(target)],
+                       env={**os.environ, "PYTHONPATH": src}, check=True)
+        assert stat.S_IMODE(target.stat().st_mode) == 0o666 & ~umask
+        assert target.read_bytes() == b"{}\n"
+
+    def test_no_umask_chmod_or_tempfile(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("called")
+        for name in ("umask", "chmod"):
+            monkeypatch.setattr(os, name, refuse)
+        for name in ("mkstemp", "mkdtemp", "NamedTemporaryFile", "TemporaryFile",
+                     "_get_candidate_names"):
+            monkeypatch.setattr(tempfile, name, refuse)
+        _emit("{}\n", str(tmp_path / "r.json"))
+        assert (tmp_path / "r.json").read_bytes() == b"{}\n"
+        assert not hasattr(cli, "tempfile")
+
+    def test_stale_temp_name_is_skipped(self, tmp_path, monkeypatch):
+        target = tmp_path / "r.json"
+        stale = tmp_path / f"r.json.{os.getpid()}.0.tmp"
+        stale.write_bytes(b"stale")
+        renamed = []
+        replace = os.replace
+        monkeypatch.setattr(os, "replace", lambda src, dst: renamed.append(src) or replace(src, dst))
+        _emit("{}\n", str(target))
+        assert renamed == [f"{target}.{os.getpid()}.1.tmp"]
+        assert target.read_bytes() == b"{}\n"
+        assert stale.read_bytes() == b"stale"
+        assert sorted(os.listdir(tmp_path)) == ["r.json", stale.name]
+
+    def test_threads_writing_one_target(self, tmp_path):
+        # more threads than cores, switching often, each writing its own
+        # document to the same target 50 times
+        target = str(tmp_path / "r.csv")
+        documents = [f"{j}\n" * (40_000 + 10_000 * j) for j in range(4)]
+        start = threading.Barrier(len(documents))
+        errors = []
+
+        def write(text):
+            start.wait()
+            try:
+                for _ in range(50):
+                    _emit(text, target)
+            except BaseException as exc:  # reported below, not lost in the thread
+                errors.append(exc)
+
+        threads = [threading.Thread(target=write, args=(text,)) for text in documents]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert Path(target).read_text() in documents
+        assert os.listdir(tmp_path) == ["r.csv"]
 
 
 class TestUnwritableOut:

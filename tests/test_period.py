@@ -4,6 +4,7 @@ import functools
 import itertools
 import json
 import math
+import time
 import tracemalloc
 from fractions import Fraction
 from importlib import resources
@@ -289,6 +290,29 @@ class TestOrbit:
             tried = [a["y"] for a in result.attempts if a["outcome"] != "shared-factor"]
             assert [inst.base for inst in orbits] == tried
         assert tables == []
+
+
+class TestValueCdf:
+    """The function-register readout draws from one CDF per instance."""
+
+    def test_is_the_readout_cdf_of_the_marginal(self):
+        inst = PeriodInstance(91, 3)
+        cdf = inst.value_cdf
+        expected = period._readout_cdf(period._value_marginal(inst))
+        assert cdf.tobytes() == expected.tobytes()
+        assert inst.value_cdf is cdf
+        with pytest.raises(ValueError):
+            cdf[0] = 0.5
+
+    def test_one_build_per_instance(self, monkeypatch):
+        builds = cached_property_builds(monkeypatch, "value_cdf")
+        inst = PeriodInstance(143, 108)
+        assert shor_period(inst, np.random.default_rng(1)).attempts == 7
+        assert builds == [inst]
+        builds.clear()
+        inst = PeriodInstance(143, 108)
+        report = compare_methods(inst, seed=1)
+        assert report.methods[SHOR].attempts == 2 and builds == [inst]
 
 
 class TestShorSampleMatchesDense:
@@ -732,6 +756,18 @@ class TestReadoutDrawIdentity:
         assert batched.bit_generator.state == single.bit_generator.state
 
 
+def brute_prime_power_base(n):
+    """The prime p with n = p^e, e >= 2, by trial division; else None."""
+    if n < 4:
+        return None
+    p = next(d for d in itertools.count(2) if n % d == 0 or d * d > n)
+    if n % p:
+        return None  # n is prime
+    while n % p == 0:
+        n //= p
+    return p if n == 1 else None
+
+
 class TestFactor:
     def test_n15_both_methods(self):
         for method in (SHOR, GROVER_ADIABATIC):
@@ -773,6 +809,37 @@ class TestFactor:
         assert _prime_power_base(3 * 7**500) is None
         assert _prime_power_base(225) is None  # 15^2 is no prime power
         assert factor(81, SHOR, np.random.default_rng(0)).factors == (3, 27)
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.integers(0, 2 * 10**5 - 1))
+    def test_prime_power_base_matches_trial_division(self, n):
+        assert _prime_power_base(n) == brute_prime_power_base(n)
+
+    def test_prime_power_base_below_2e5(self):
+        powers = {}
+        for p in range(2, 448):
+            if all(p % d for d in range(2, p)):
+                power = p * p
+                while power < 2 * 10**5:
+                    powers[power] = p
+                    power *= p
+        assert {n: p for n in range(2 * 10**5)
+                if (p := _prime_power_base(n)) is not None} == powers
+
+    @pytest.mark.parametrize("n,base", [
+        (3 * 7**5000, None), (3**5000, 3), (2**64, 2), (41**3, 41), (41**3 * 43, None),
+        (9, 3), (3, None)])
+    def test_witness_factor_takes_no_root(self, monkeypatch, n, base):
+        def refuse(*args):
+            raise AssertionError("integer root taken")
+        monkeypatch.setattr(period, "_integer_root", refuse)
+        assert _prime_power_base(n) == base
+
+    def test_huge_multiple_of_a_witness_is_classified_at_once(self):
+        # 14 039 bits: a Newton root per prime exponent took 2.6 s
+        start = time.perf_counter()
+        assert classify_modulus(3 * 7**5000) == "ok"
+        assert time.perf_counter() - start < 1.0
 
     def test_classify_beyond_float_range(self):
         assert classify_modulus(7**500) == "prime-power"
