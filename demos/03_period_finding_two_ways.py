@@ -71,4 +71,7 @@ print(f"fisher trace along the amplification path: "
       f"min {fisher.min():.6f}, max {fisher.max():.6f} (constant at 4)")
 print(json.dumps(document["methods"], indent=2, sort_keys=True))
 print()
+# compare_methods and the CLI share their defaults (DEFAULT_BUDGET,
+# DEFAULT_SAMPLES, DEFAULT_DPHI in qgeodesic.period), so this command
+# writes `document` itself, as indented JSON with sorted keys.
 print("CLI equivalent:  qgeodesic compare 15 2 --seed 7 --out report.json")

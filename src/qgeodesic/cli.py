@@ -41,7 +41,10 @@ from .grover import (
     trace_path,
 )
 from .period import (
+    DEFAULT_BUDGET,
+    DEFAULT_DPHI,
     DEFAULT_MEMORY_CAP,
+    DEFAULT_SAMPLES,
     FORMAT_VERSION,
     GROVER_ADIABATIC,
     SHOR,
@@ -110,56 +113,29 @@ def _emit(text: str, path: str | None):
 
 def _json_text(document: dict) -> str:
     """``json.dumps(document, indent=2, sort_keys=True) + "\\n"``, byte for
-    byte.  json runs its pure-Python encoder, a generator per container,
-    whenever ``indent`` is set; this formats each container with one join."""
+    byte, for str keys and dict, list, tuple, str, int, float, bool or None
+    values; any other type raises TypeError.  json runs its pure-Python
+    encoder whenever ``indent`` is set; this joins each container once."""
     return _json_value(document, "\n") + "\n"
 
 
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _json_float(value: float) -> str:
-    """A float as json writes it: its repr, or NaN and +-Infinity."""
-    text = float.__repr__(value)
-    return _NONFINITE.get(text, text)
-
-
-_JSON_SCALARS = {
-    str: encode_basestring_ascii,
-    int: int.__repr__,
-    float: _json_float,
-    bool: {True: "true", False: "false"}.__getitem__,
-    type(None): lambda _: "null",
-}
-
-
-@functools.cache  # one entry per type written: a handful
-def _json_scalar(kind: type):
-    """json's formatter for a scalar of this type, or None for any other
-    type; a subclass of str, int or float is written as its base."""
-    for base in (kind, str, int, float):
-        if base in _JSON_SCALARS and issubclass(kind, base):
-            return _JSON_SCALARS[base]
-    return None
-
-
-def _json_key(key) -> str:
-    """A dict key as json writes it: a scalar's JSON text, as a string."""
-    if isinstance(key, str):
-        return encode_basestring_ascii(key)
-    scalar = _json_scalar(type(key))
-    if scalar is None:
-        raise TypeError(f"keys must be str, int, float, bool or None, "
-                        f"not {key.__class__.__name__}")
-    return f'"{scalar(key)}"'
-
-
 def _json_value(value, newline: str) -> str:
     """One JSON value as json writes it at the depth whose line break and
-    indent is ``newline``."""
-    scalar = _json_scalar(type(value))
-    if scalar is not None:
-        return scalar(value)
+    indent is ``newline``; a str, int or float subclass as its base."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, float):  # its repr, or json's NaN and +-Infinity
+        text = float.__repr__(value)
+        return _NONFINITE.get(text, text)
+    if isinstance(value, bool):  # before int, its base
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if value is None:
+        return "null"
     if isinstance(value, (list, tuple)):
         opener, closer = "[", "]"
     elif isinstance(value, dict):
@@ -172,12 +148,12 @@ def _json_value(value, newline: str) -> str:
     inner = newline + "  "
     separator = "," + inner
     if opener == "{":
-        items = [f"{_json_key(key)}: {_json_value(item, inner)}"
+        # encode_basestring_ascii raises TypeError for a key that is not str
+        items = [f"{encode_basestring_ascii(key)}: {_json_value(item, inner)}"
                  for key, item in sorted(value.items())]
-    elif all(type(item) is float for item in value):
-        # Finite reprs hold no "n"; nan and inf take json's spelling.
-        text = separator.join(map(float.__repr__, value))
-        items = [text] if "n" not in text else list(map(_json_float, value))
+    elif all(type(item) is float for item in value) and "n" not in (
+            text := separator.join(map(float.__repr__, value))):
+        items = [text]  # finite reprs hold no "n"; nan and inf go item by item
     else:
         items = [_json_value(item, inner) for item in value]
     # The brackets join the first and last items, so the body is copied once.
@@ -206,7 +182,7 @@ def cmd_grover_trace(args: argparse.Namespace) -> int:
     fine = trace_path(inst, steps, args.dphi, args.memory_cap)
     require_amplitudes((steps + 1) * _TRACE_ROW_AMPLITUDES[args.format],
                        args.memory_cap, "trace rows")
-    residuals, fisher = _residuals(fine, 2, fine.n_samples - 2)
+    residuals, fisher = _residuals(fine)
     # Per-item residual: the class residual over sqrt(class size).
     res_phis = fine.phis[2:-2]
     res_max = np.max(np.abs(residuals / np.sqrt(sizes)), axis=1)
@@ -313,8 +289,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     """Write the side-by-side period-finding report for (N, y)."""
     report = compare_methods(
         PeriodInstance(args.modulus, args.base), args.seed, samples=args.samples,
-        shor_attempts=args.budget, grover_rounds=args.budget,
-        trace_dphi=args.dphi, memory_cap=args.memory_cap)
+        budget=args.budget, trace_dphi=args.dphi, memory_cap=args.memory_cap)
     _emit(_json_text(report.to_dict()), args.out)
     ok = all(rep.succeeded for rep in report.methods.values())
     return EXIT_OK if ok else EXIT_CHECK_FAILED
@@ -329,13 +304,13 @@ _OPTIONS = {
     "out": dict(default=None, metavar="PATH", help="output file (stdout when omitted)"),
     "seed": dict(type=int, required=True, help="64-bit RNG seed (required)"),
     "format": dict(choices=("csv", "json"), default="csv"),
-    "dphi": dict(type=float, default=0.01,
+    "dphi": dict(type=float, default=DEFAULT_DPHI,
                  help="sampling step for analytic resampling, in (0, 0.1]"),
     "memory-cap": dict(type=int, default=DEFAULT_MEMORY_CAP,
                        help="complex-amplitude budget"),
-    "budget": dict(type=int, default=16,
+    "budget": dict(type=int, default=DEFAULT_BUDGET,
                    help="attempt budget for period finding / factoring"),
-    "samples": dict(type=int, default=3,
+    "samples": dict(type=int, default=DEFAULT_SAMPLES,
                     help="readouts of the amplified state per round"),
 }
 
@@ -416,12 +391,16 @@ def _parse_args(argv: list[str] | None) -> argparse.Namespace:
 
 def main(argv: list[str] | None = None) -> int:
     args = _parse_args(argv)
+    target = args.out  # the one file a command opens, or stdout when None
     try:
         given = vars(args)
         for name, valid, message in _CHECKS:
             if name in given and not valid(given[name]):
                 raise ValueError(message.format(given[name]))
-        return globals()[args.run](args)
+        code = globals()[args.run](args)
+        target = None  # stdout's buffer is all that is left to write,
+        sys.stdout.flush()  # and a failure shows here, not at interpreter exit
+        return code
     except (ResourceLimitError, MemoryError) as exc:
         print(f"resource error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_RESOURCE
@@ -429,9 +408,11 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:
-        if args.out is None:  # the one file a command opens is its --out
-            raise
-        print(f"error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
+        if target is None:  # its unwritten rest goes to os.devnull, not the exit flush
+            with contextlib.suppress(OSError, ValueError), open(os.devnull, "wb") as null:
+                os.dup2(null.fileno(), sys.stdout.fileno())
+        print(f"error: cannot write {'stdout' if target is None else target}: "
+              f"{exc.strerror or exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

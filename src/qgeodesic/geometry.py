@@ -203,37 +203,35 @@ def _second_derivative(coords: np.ndarray, phis: np.ndarray) -> np.ndarray:
     ) / (h1 * h2 * (h1 + h2))
 
 
-def _residuals(path: ProbabilityPath, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """Geodesic equation-of-motion residual rows for samples lo..hi-1, and
-    the Fisher function at every sample that they are built from.
+def _residuals(path: ProbabilityPath) -> tuple[np.ndarray, np.ndarray]:
+    """Geodesic equation-of-motion residual rows at samples 2..n-3, where
+    every stencil is central, and the Fisher function at every sample.
 
     Evaluates xddot_i - (fisherdot/fisher) xdot_i + (fisher/4) x_i per
     coordinate with finite-difference derivatives; raises if fisher falls
     below the division guard at any of those samples.
     """
     coords, xdot, fisher, _ = _derivatives(path)
-    low = np.flatnonzero(fisher[lo:hi] < FISHER_GUARD)
+    inner = fisher[2:-2]
+    low = np.flatnonzero(inner < FISHER_GUARD)
     if low.size:
-        index = lo + int(low[0])
+        index = 2 + int(low[0])
         raise ValueError(
             f"fisher value {fisher[index]:g} at sample {index} below guard; "
             "the equation of motion is singular for stationary paths")
-    fdot = np.gradient(fisher, path.phis, edge_order=2)
-    xddot = _second_derivative(coords, path.phis)[lo - 1:hi - 1]
-    return xddot - (fdot[lo:hi] / fisher[lo:hi])[:, np.newaxis] * xdot[lo:hi] \
-        + (fisher[lo:hi] / 4.0)[:, np.newaxis] * coords[lo:hi], fisher
+    fdot = np.gradient(fisher, path.phis, edge_order=2)[2:-2]
+    xddot = _second_derivative(coords, path.phis)[1:-1]
+    return xddot - (fdot / inner)[:, np.newaxis] * xdot[2:-2] \
+        + (inner / 4.0)[:, np.newaxis] * coords[2:-2], fisher
 
 
 def geodesic_residual_profile(path: ProbabilityPath) -> tuple[np.ndarray, np.ndarray]:
     """Max-abs geodesic residual at every valid interior sample.
 
-    Returns (phis[2:n-2], residuals): samples 2..n-3, where every stencil,
-    including the one for fisherdot, uses central differences only.  Raises
-    if fisher falls below the division guard anywhere in that range.
+    Returns (phis[2:n-2], residuals), the samples of :func:`_residuals`.
     """
     _require_samples(path, 5)
-    lo, hi = 2, path.n_samples - 2  # slice end, valid indices 2..n-3
-    return path.phis[lo:hi].copy(), np.max(np.abs(_residuals(path, lo, hi)[0]), axis=1)
+    return path.phis[2:-2].copy(), np.max(np.abs(_residuals(path)[0]), axis=1)
 
 
 def integrate_geodesic(

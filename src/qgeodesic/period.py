@@ -40,6 +40,10 @@ from .states import (
 )
 
 FORMAT_VERSION = 1  # of every JSON document and the trace CSV
+# Run defaults of the library calls and the CLI options alike:
+DEFAULT_BUDGET = 16  # bases for factor, attempts or rounds for compare
+DEFAULT_SAMPLES = 3  # readouts of the amplified register per round
+DEFAULT_DPHI = 0.01  # step of the resampled search paths
 
 SHOR = "shor"
 GROVER_ADIABATIC = "grover-adiabatic"
@@ -356,7 +360,7 @@ def _amplified_distribution(inst: PeriodInstance, memory_cap: int) -> tuple[np.n
 def grover_period(
     inst: PeriodInstance,
     rng: np.random.Generator,
-    samples: int = 3,
+    samples: int = DEFAULT_SAMPLES,
     max_rounds: int = 20,
     memory_cap: int = DEFAULT_MEMORY_CAP,
 ) -> PeriodResult:
@@ -485,8 +489,8 @@ def factor(
     n: int,
     method: str,
     rng: np.random.Generator,
-    budget: int = 16,
-    samples: int = 3,
+    budget: int = DEFAULT_BUDGET,
+    samples: int = DEFAULT_SAMPLES,
     memory_cap: int = DEFAULT_MEMORY_CAP,
 ) -> FactorResult:
     """Split an odd composite non-prime-power N via period finding.
@@ -585,25 +589,22 @@ class ComparisonReport:
 def compare_methods(
     inst: PeriodInstance,
     seed: int,
-    samples: int = 3,
-    shor_attempts: int = 32,
-    grover_rounds: int = 20,
-    trace_dphi: float = 0.01,
+    samples: int = DEFAULT_SAMPLES,
+    budget: int = DEFAULT_BUDGET,
+    trace_dphi: float = DEFAULT_DPHI,
     memory_cap: int = DEFAULT_MEMORY_CAP,
 ) -> ComparisonReport:
-    """Run both period finders on ``inst`` with child streams derived from a
-    shared seed, and report their counters side by side.
+    """Run both period finders on ``inst``, each within ``budget`` attempts
+    or rounds, with child streams derived from a shared seed, and report
+    their counters side by side.
 
     Every Shor measurement is a projective state reduction; the
     amplification route only measures when sampling the amplified state.
     """
-    children = np.random.SeedSequence(seed).spawn(2)
-    shor_res = shor_period(
-        inst, np.random.default_rng(children[0]),
-        max_attempts=shor_attempts, memory_cap=memory_cap)
-    grover_res = grover_period(
-        inst, np.random.default_rng(children[1]),
-        samples=samples, max_rounds=grover_rounds, memory_cap=memory_cap)
+    shor_rng, grover_rng = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(2))
+    shor_res = shor_period(inst, shor_rng, max_attempts=budget, memory_cap=memory_cap)
+    grover_res = grover_period(inst, grover_rng, samples=samples, max_rounds=budget,
+                               memory_cap=memory_cap)
     trace = fisher_discrete(amplification_path(inst.search, trace_dphi, memory_cap))
     return ComparisonReport(
         seed=seed,

@@ -2,6 +2,7 @@
 
 import contextlib
 import errno
+import inspect
 import io
 import json
 import os
@@ -20,7 +21,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qgeodesic import GeodesicState, GroverInstance, action, cli, geometry
+from qgeodesic import (
+    GeodesicState,
+    GroverInstance,
+    PeriodInstance,
+    action,
+    cli,
+    compare_methods,
+    factor,
+    geometry,
+)
 from qgeodesic.cli import _emit, _json_text, _parse_marked, main
 from qgeodesic.grover import amplification_path, trace_path
 
@@ -324,6 +334,24 @@ class TestCompareCommand:
     def test_invalid_base_exits_2(self):
         assert run(["compare", "15", "5", "--seed", "1"]) == 2
 
+    # Seed 103 needs 18 amplification rounds and seed 395 needs 17 Shor
+    # attempts: more than the shared budget of 16, so both runs fail.
+    @pytest.mark.parametrize("base,seed,exit_code", [(14, 103, 1), (14, 395, 1), (2, 7, 0)])
+    def test_library_writes_the_cli_document(self, tmp_path, base, seed, exit_code):
+        code, out = run_to_file(
+            tmp_path, "c.json", ["compare", "15", str(base), "--seed", str(seed)])
+        assert code == exit_code
+        report = compare_methods(PeriodInstance(15, base), seed)
+        assert _json_text(report.to_dict()).encode() == out.read_bytes()
+
+    @pytest.mark.parametrize("function", [compare_methods, factor])
+    def test_library_defaults_are_the_cli_defaults(self, function):
+        parameters = inspect.signature(function).parameters
+        for name in ("budget", "samples", "memory_cap"):
+            assert parameters[name].default == cli._OPTIONS[name.replace("_", "-")]["default"]
+        if "trace_dphi" in parameters:
+            assert parameters["trace_dphi"].default == cli._OPTIONS["dphi"]["default"]
+
     def test_memory_cap_exits_3(self):
         assert run(["compare", "15", "2", "--seed", "1",
                     "--memory-cap", "64"]) == 3
@@ -522,6 +550,15 @@ class TestStdoutFallback:
         assert run(["grover-trace", "4", "--marked", "0", "--steps", "1"]) == 0
         out = capsys.readouterr().out
         assert out.startswith("# format_version=1")
+
+    def test_failing_stream_without_fd_exits_2(self, monkeypatch, capsys):
+        class Full(io.StringIO):
+            def write(self, text):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        monkeypatch.setattr(sys, "stdout", Full())
+        assert run(["geodesic-check", "4"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot write stdout: {os.strerror(errno.ENOSPC)}\n")
 
 
 class TestDroppedFlags:
@@ -749,17 +786,13 @@ json_scalars = (st.none() | st.booleans() | st.integers() | json_floats
                 | st.text(st.characters(), max_size=8)
                 | json_floats.map(np.float64))
 text_keys = st.text(st.characters(), max_size=8)
-number_keys = st.integers() | json_floats | st.booleans()  # they sort among themselves
 
 
 def json_containers(children):
     return st.one_of(
         st.lists(children, max_size=5), st.lists(children, max_size=5).map(tuple),
         st.lists(json_floats, max_size=5),
-        st.dictionaries(text_keys, children, max_size=5),
-        st.dictionaries(number_keys, children, max_size=5),
-        # None keys, and mixed keys that do not sort
-        st.dictionaries(text_keys | number_keys | st.none(), children, max_size=2))
+        st.dictionaries(text_keys, children, max_size=5))
 
 
 def json_documents():
@@ -798,6 +831,13 @@ class TestJsonWriter:
             json_dumps_text(document)
         with pytest.raises(TypeError):
             _json_text(document)
+
+    @pytest.mark.parametrize("key", [1, 0.5, True, None, np.int64(1)],
+                             ids=["int", "float", "bool", "None", "int64"])
+    def test_non_str_key_is_refused(self, key):
+        # json.dumps writes the first four as strings; no report holds them
+        with pytest.raises(TypeError):
+            _json_text({"rows": [{key: 0}]})
 
 
 class TestFactorModuli:
@@ -949,6 +989,39 @@ class TestAtomicWrite:
         assert errors == []
         assert Path(target).read_text() in documents
         assert os.listdir(tmp_path) == ["r.csv"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+class TestUnwritableStdout:
+    """A stdout that cannot take the output exits 2 with one line, whether
+    the write fails in the command (unbuffered) or at the final flush."""
+
+    @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+    @pytest.mark.parametrize("args", [
+        ["grover-trace", "65536", "--marked", "0", "--steps", "20000"],
+        ["geodesic-check", "4"],
+        ["factor", "15", "--method", "shor", "--seed", "1"],
+    ], ids=["grover-trace", "geodesic-check", "factor"])
+    def test_dev_full_exits_2(self, args, unbuffered):
+        self.assert_exits_2(args, unbuffered)
+
+    def test_out_is_written_before_stdout_fails(self, tmp_path):
+        out = tmp_path / "f.json"
+        self.assert_exits_2(["factor", "15", "--method", "shor", "--seed", "1",
+                             "--out", str(out)], "")
+        assert json.loads(out.read_text())["factors"] == [3, 5]
+
+    @staticmethod
+    def assert_exits_2(args, unbuffered):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        with open("/dev/full", "w") as full:
+            done = subprocess.run(
+                [sys.executable, "-m", "qgeodesic", *args], stdout=full,
+                stderr=subprocess.PIPE, timeout=120,
+                env={**os.environ, "PYTHONPATH": src, "PYTHONUNBUFFERED": unbuffered})
+        assert done.returncode == 2
+        assert done.stderr.decode() == (
+            f"error: cannot write stdout: {os.strerror(errno.ENOSPC)}\n")
 
 
 class TestUnwritableOut:

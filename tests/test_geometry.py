@@ -358,7 +358,7 @@ class TestGeodesicResidual:
             amps = path.amps.astype(complex)
             amps[:, 0] *= np.exp(1j * phase * path.phis)
             path = ProbabilityPath(path.phis, path.probs, amps)
-        _, fisher = _residuals(path, 2, path.n_samples - 2)
+        _, fisher = _residuals(path)
         assert fisher.tobytes() == fisher_discrete(path).fisher.tobytes()
 
 

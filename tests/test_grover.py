@@ -316,7 +316,7 @@ def search_runs(draw, max_items=128):
 
 def item_residual_max(path, inst):
     """Per-item residual maxima from the class path, as grover-trace takes them."""
-    residuals, _ = _residuals(path, 2, path.n_samples - 2)
+    residuals, _ = _residuals(path)
     return np.max(np.abs(residuals / np.sqrt(inst.class_sizes)), axis=1)
 
 
