@@ -65,17 +65,14 @@ TRACE_COLUMNS = (
     "step", "phi", "p_marked", "p_unmarked",
     "fisher_estimate", "geodesic_residual_max", "action_cumulative",
 )
+# A csv row: the step, then each float to 17 digits (round-trip safe).
+_TRACE_ROW = "%d," + ",".join(["%.17g"] * (len(TRACE_COLUMNS) - 1))
 
 # Peak bytes per output row while grover-trace builds its text, in 16-byte
 # amplitude units: tracemalloc of `grover-trace 67108864 --marked 0 --steps
 # 20000` peaks at 655 B/row for csv and 1133 B/row for json.  The json charge
 # is the 2117 B/row that json.dumps took, kept so that no cap case moves.
 _TRACE_ROW_AMPLITUDES = {"csv": 41, "json": 133}
-
-
-def _fmt(value: float) -> str:
-    """17 significant digits: round-trip safe for double precision."""
-    return f"{value:.17g}"
 
 
 def _emit(text: str, path: str | None):
@@ -86,28 +83,33 @@ def _emit(text: str, path: str | None):
     overlapping runs and threads never share one (a name that exists
     already is skipped for the next n), and with mode 0o666, which the
     kernel narrows by the umask as it does for ``open()``.  A failed write
-    leaves neither a temp file nor a partial target behind.
+    leaves neither a temp file nor a partial target behind, and its OSError
+    names ``path`` as its ``filename``, with its text kept as ``strerror``.
     """
     if path is None:
         sys.stdout.write(text)
         return
     data = memoryview(text.encode("utf-8"))
     stem = f"{os.path.abspath(path)}.{os.getpid()}."
-    for n in itertools.count():
-        tmp = f"{stem}{n}.tmp"
-        with contextlib.suppress(FileExistsError):
-            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-            break
     try:
+        for n in itertools.count():
+            tmp = f"{stem}{n}.tmp"
+            with contextlib.suppress(FileExistsError):
+                fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+                break
         try:
-            while data:  # a write may stop short, past 2 GiB on Linux
-                data = data[os.write(fd, data):]
-        finally:
-            os.close(fd)
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp)
+            try:
+                while data:  # a write may stop short, past 2 GiB on Linux
+                    data = data[os.write(fd, data):]
+            finally:
+                os.close(fd)
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:  # strerror first: a filename changes str(exc)
+        exc.strerror, exc.filename = exc.strerror or str(exc), path
         raise
 
 
@@ -163,9 +165,9 @@ def _json_value(value, newline: str) -> str:
 
 
 def _trace_csv(rows) -> str:
-    """The trace table from its rows of floats; row j is step j."""
+    """The trace table from its rows, each a step and its floats."""
     lines = [f"# format_version={FORMAT_VERSION}", ",".join(TRACE_COLUMNS)]
-    lines.extend(",".join([str(j), *map(_fmt, row)]) for j, row in enumerate(rows))
+    lines.extend(map(_TRACE_ROW.__mod__, rows))
     return "\n".join(lines) + "\n"
 
 
@@ -194,12 +196,12 @@ def cmd_grover_trace(args: argparse.Namespace) -> int:
                np.interp(phis, fine.phis, fisher),
                np.interp(phis, res_phis, res_max),
                np.interp(phis, fine.phis, cumulative) - action_origin)
-    rows = zip(*(column.tolist() for column in columns))
+    rows = zip(range(steps + 1), *(column.tolist() for column in columns))
 
     if args.format == "csv":
         _emit(_trace_csv(rows), args.out)
     else:
-        rows = [dict(zip(TRACE_COLUMNS, (j, *row))) for j, row in enumerate(rows)]
+        rows = [dict(zip(TRACE_COLUMNS, row)) for row in rows]
         _emit(_json_text({"format_version": FORMAT_VERSION, "rows": rows}), args.out)
     return EXIT_OK
 
@@ -391,15 +393,13 @@ def _parse_args(argv: list[str] | None) -> argparse.Namespace:
 
 def main(argv: list[str] | None = None) -> int:
     args = _parse_args(argv)
-    target = args.out  # the one file a command opens, or stdout when None
     try:
         given = vars(args)
         for name, valid, message in _CHECKS:
             if name in given and not valid(given[name]):
                 raise ValueError(message.format(given[name]))
         code = globals()[args.run](args)
-        target = None  # stdout's buffer is all that is left to write,
-        sys.stdout.flush()  # and a failure shows here, not at interpreter exit
+        sys.stdout.flush()  # a failure shows here, not at interpreter exit
         return code
     except (ResourceLimitError, MemoryError) as exc:
         print(f"resource error: {str(exc) or 'out of memory'}", file=sys.stderr)
@@ -408,11 +408,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:
-        if target is None:  # its unwritten rest goes to os.devnull, not the exit flush
+        name = exc.filename  # the --out path, as _emit names it
+        if name is None:  # stdout: its unwritten rest goes to os.devnull, not the exit flush
+            name = "stdout"
             with contextlib.suppress(OSError, ValueError), open(os.devnull, "wb") as null:
                 os.dup2(null.fileno(), sys.stdout.fileno())
-        print(f"error: cannot write {'stdout' if target is None else target}: "
-              f"{exc.strerror or exc}", file=sys.stderr)
+        print(f"error: cannot write {name}: {exc.strerror or exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

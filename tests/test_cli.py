@@ -1011,6 +1011,13 @@ class TestUnwritableStdout:
                              "--out", str(out)], "")
         assert json.loads(out.read_text())["factors"] == [3, 5]
 
+    def test_stdout_failing_after_out_is_named_stdout(self, tmp_path):
+        # unbuffered, the summary line fails inside the command, after --out
+        out = tmp_path / "f.json"
+        self.assert_exits_2(["factor", "15", "--method", "shor", "--seed", "1",
+                             "--out", str(out)], "1")
+        assert json.loads(out.read_text())["factors"] == [3, 5]
+
     @staticmethod
     def assert_exits_2(args, unbuffered):
         src = str(Path(cli.__file__).resolve().parents[1])
@@ -1040,3 +1047,12 @@ class TestUnwritableOut:
             "", f"error: cannot write {path}: {os.strerror(code)}\n")
         assert os.listdir(tmp_path) == ["a-directory"]
         assert os.listdir(tmp_path / "a-directory") == []
+
+    def test_error_without_errno_keeps_its_text(self, tmp_path, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise OSError("device lost")
+        monkeypatch.setattr(cli.os, "replace", fail)
+        path = str(tmp_path / "r.json")
+        assert run(["geodesic-check", "4", "--out", path]) == 2
+        assert capsys.readouterr() == ("", f"error: cannot write {path}: device lost\n")
+        assert os.listdir(tmp_path) == []

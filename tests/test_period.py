@@ -4,10 +4,14 @@ import functools
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 from fractions import Fraction
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,6 +44,7 @@ from qgeodesic import (
 )
 from qgeodesic import StateVector, period
 from qgeodesic.period import (
+    DEFAULT_BUDGET,
     PeriodResult,
     _amplified_distribution,
     _integer_root,
@@ -72,6 +77,22 @@ class TestOrderBruteforce:
     def test_shared_factor_rejected(self):
         with pytest.raises(ValueError):
             order_bruteforce(6, 15)
+
+    def test_modulus_below_2_rejected(self):
+        # in a subprocess with a timeout, so that a loop that never reaches
+        # y^r = 1 fails the test instead of stalling the suite
+        script = ("from qgeodesic.period import order_bruteforce\n"
+                  "for y, n in ((2, 1), (3, -7), (1, 0)):\n"
+                  "    try:\n"
+                  "        order_bruteforce(y, n)\n"
+                  "    except ValueError as exc:\n"
+                  "        print(exc)\n")
+        src = str(Path(period.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, timeout=60, env={**os.environ, "PYTHONPATH": src})
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout == "".join(
+            f"brute-force order needs 2 <= n <= 10**6, got {n}\n" for n in (1, -7, 0))
 
 
 class TestRegisterSize:
@@ -515,9 +536,9 @@ class TestVerifiedMinimalPeriod:
                 # the midpoint of each outcome's interval of the CDF
                 return np.array([(cdf[o - 1] + cdf[o]) / 2 for o in self.outcomes])
 
-        found = grover_period(inst, Scripted([13, 101, 37]), samples=3, max_rounds=1)
+        found = grover_period(inst, Scripted([13, 101, 37]), samples=3, budget=1)
         assert found.succeeded and found.period == 4 and found.measurements == 3
-        same = grover_period(inst, Scripted([13, 13, 13]), samples=3, max_rounds=1)
+        same = grover_period(inst, Scripted([13, 13, 13]), samples=3, budget=1)
         assert not same.succeeded and same.period is None and same.measurements == 3
 
 
@@ -645,6 +666,28 @@ class TestGroverPeriod:
         assert runs[0] == runs[1]
 
 
+class ZeroUniforms:
+    """A generator whose every uniform is 0: Shor reads frequency 0, which
+    carries no period, and every amplified readout is the same argument,
+    whose differences have gcd 0; so no draw yields a verified period."""
+
+    def random(self, size=None):
+        return np.zeros(() if size is None else size)
+
+
+class TestOneBudget:
+    """Both finders search within DEFAULT_BUDGET attempts or rounds, the
+    budget that factor and compare_methods take, unless given another."""
+
+    @pytest.mark.parametrize("finder", [shor_period, grover_period])
+    def test_failed_search_stops_at_the_budget(self, finder):
+        inst = PeriodInstance(15, 2)
+        result = finder(inst, ZeroUniforms())
+        assert result.succeeded is False and result.period is None
+        assert result.attempts == DEFAULT_BUDGET
+        assert finder(inst, ZeroUniforms(), budget=3).attempts == 3
+
+
 class TestBothMethodsAgreeWithBruteForce:
     def test_n15_all_bases(self):
         for y in valid_bases(15):
@@ -688,13 +731,13 @@ class TestAmplifiedStateMatchesDense:
                     assert grover_period(inst, np.random.default_rng(seed)) == reduced
 
 
-def measured_grover_period(inst, rng, samples, max_rounds):
+def measured_grover_period(inst, rng, samples, budget):
     """grover_period with each readout a measure_register collapse of the
     statevector loop's amplified state: the reference for its draws from
     the two-amplitude distribution."""
     state, steps, _ = dense_amplified_state(inst)
     oracle_calls = measurements = 0
-    for round_index in range(1, max_rounds + 1):
+    for round_index in range(1, budget + 1):
         outcomes = []
         for _ in range(samples):
             outcomes.append(measure_register(state, 0, rng)[0])
@@ -706,7 +749,7 @@ def measured_grover_period(inst, rng, samples, max_rounds):
             return PeriodResult(
                 GROVER_ADIABATIC, found, oracle_calls, measurements, round_index, True)
     return PeriodResult(
-        GROVER_ADIABATIC, None, oracle_calls, measurements, max_rounds, False)
+        GROVER_ADIABATIC, None, oracle_calls, measurements, budget, False)
 
 
 class TestBornDrawReadouts:
@@ -721,7 +764,7 @@ class TestBornDrawReadouts:
             for seed in range(5):
                 for samples, rounds in ((3, 20), (2, 1)):
                     drawn = grover_period(inst, np.random.default_rng(seed),
-                                          samples=samples, max_rounds=rounds)
+                                          samples=samples, budget=rounds)
                     assert drawn == measured_grover_period(
                         inst, np.random.default_rng(seed), samples, rounds)
 
