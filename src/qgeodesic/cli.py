@@ -19,6 +19,7 @@ import argparse
 import contextlib
 import functools
 import itertools
+import operator
 import os
 import sys
 from json.encoder import encode_basestring_ascii
@@ -67,6 +68,13 @@ TRACE_COLUMNS = (
 )
 # A csv row: the step, then each float to 17 digits (round-trip safe).
 _TRACE_ROW = "%d," + ",".join(["%.17g"] * (len(TRACE_COLUMNS) - 1))
+# A json row as _json_text writes it in the document's "rows" list: keys in
+# sorted order, the step by %d and each float by its repr; the getter puts a
+# row's values in that order.
+_TRACE_JSON_ROW = "{\n" + ",\n".join(
+    f'      "{name}": %{"d" if name == "step" else "r"}' for name in sorted(TRACE_COLUMNS)
+) + "\n    }"
+_TRACE_JSON_ORDER = operator.itemgetter(*map(TRACE_COLUMNS.index, sorted(TRACE_COLUMNS)))
 
 # Peak bytes per output row while grover-trace builds its text, in 16-byte
 # amplitude units: tracemalloc of `grover-trace 67108864 --marked 0 --steps
@@ -171,6 +179,18 @@ def _trace_csv(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _trace_json(rows) -> str:
+    """``_json_text({"format_version": FORMAT_VERSION, "rows": [...]})`` with
+    one dict per row, each a step and its floats in TRACE_COLUMNS order,
+    byte for byte; every row is one fill of a template.  A value is the
+    only text after ": ", so nan and +-inf are respelled as json's there."""
+    body = ",\n    ".join(map(_TRACE_JSON_ROW.__mod__, map(_TRACE_JSON_ORDER, rows)))
+    for text, spelling in _NONFINITE.items():
+        body = body.replace(f": {text}", f": {spelling}")
+    rows_text = f"[\n    {body}\n  ]" if body else "[]"
+    return f'{{\n  "format_version": {FORMAT_VERSION},\n  "rows": {rows_text}\n}}\n'
+
+
 def cmd_grover_trace(args: argparse.Namespace) -> int:
     """Write the per-step trajectory table of a search run."""
     steps = args.steps
@@ -198,11 +218,7 @@ def cmd_grover_trace(args: argparse.Namespace) -> int:
                np.interp(phis, fine.phis, cumulative) - action_origin)
     rows = zip(range(steps + 1), *(column.tolist() for column in columns))
 
-    if args.format == "csv":
-        _emit(_trace_csv(rows), args.out)
-    else:
-        rows = [dict(zip(TRACE_COLUMNS, row)) for row in rows]
-        _emit(_json_text({"format_version": FORMAT_VERSION, "rows": rows}), args.out)
+    _emit((_trace_csv if args.format == "csv" else _trace_json)(rows), args.out)
     return EXIT_OK
 
 

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qgeodesic import (
@@ -31,7 +31,8 @@ from qgeodesic import (
     factor,
     geometry,
 )
-from qgeodesic.cli import _emit, _json_text, _parse_marked, main
+from qgeodesic.cli import (
+    FORMAT_VERSION, TRACE_COLUMNS, _emit, _json_text, _parse_marked, _trace_json, main)
 from qgeodesic.grover import amplification_path, trace_path
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
@@ -217,11 +218,22 @@ class TestGeodesicCheck:
         assert report["checks"]["action_vs_distance"]["action"] \
             == action(fine, inst.theta, np.pi / 2)
 
+    @pytest.mark.parametrize("n_items", [2, 3, 4, 1024, 8192, 2**26])
+    def test_integrator_errors_at_scale(self, capsys, n_items):
+        # far inside the 1e-6 tolerance, and tight enough to see a rounding
+        # repeated in each of the 6 433 segments at N = 2^26, where
+        # multiplying by one rounded lambda^n per segment drifted to 1e-12
+        assert run(["geodesic-check", str(n_items)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["dt"] == 1e-4
+        for name in ("integrator_vs_simulation", "integrator_vs_analytic"):
+            assert report["checks"][name]["max_abs_error"] <= 5e-13
+
     def test_one_state_per_segment(self, monkeypatch, capsys):
         # N = 8192: the targets of recursion steps 0..70 plus the final
-        # pi/2 make 72 segments of about 217 RK4 steps; the command builds
-        # the initial state and reads the last state of each segment,
-        # nothing per step.
+        # pi/2 make 72 segments, each about 217 RK4 steps long; the command
+        # builds the initial state and reads the last state of each
+        # segment, which the kernel reaches in closed form, nothing per step.
         built = []
         init = GeodesicState.__init__
 
@@ -235,7 +247,7 @@ class TestGeodesicCheck:
         assert 0 < len(built) <= 72 + 1
 
     def test_one_kernel_pass_and_no_integrator_calls(self, monkeypatch, capsys):
-        # N = 8192: the 72 segment ends are the stops of one stepping pass
+        # N = 8192: the 72 segment ends are the stops of one kernel pass
         # that records no rows; integrate_geodesic, whose every call would
         # also run the kernel, is never called
         kernel_calls, integrator_calls = [], []
@@ -838,6 +850,19 @@ class TestJsonWriter:
         # json.dumps writes the first four as strings; no report holds them
         with pytest.raises(TypeError):
             _json_text({"rows": [{key: 0}]})
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 10**30),
+                              *[json_floats] * (len(TRACE_COLUMNS) - 1)), max_size=5))
+    @example([(0, -0.0, 5e-324, 1e308, -1e308, float("nan"), float("-inf"))])
+    @example([(2**63, float("inf"), 0.1, 1.0, 0.0, 1e16, 4.0)] * 2)
+    @example([])
+    def test_trace_rows_equal_json_dumps(self, rows):
+        # the trace template, non-finite floats included, writes the
+        # document of one dict per row
+        document = {"format_version": FORMAT_VERSION,
+                    "rows": [dict(zip(TRACE_COLUMNS, row)) for row in rows]}
+        assert _trace_json(rows) == json_dumps_text(document)
 
 
 class TestFactorModuli:

@@ -1,5 +1,7 @@
 """Fisher estimation, metric identities, geodesic residuals, integration."""
 
+import decimal
+import math
 import re
 from collections.abc import Sequence
 
@@ -97,8 +99,9 @@ def stage_rk4(init, fisher_const, phi_end, dt):
 
 
 def array_rk4(init, fisher_const, phi_end, dt):
-    """integrate_geodesic's increment form stepped on numpy arrays, with its
-    step schedule and phi values: the reference for float stepping."""
+    """RK4 in its increment form stepped on numpy arrays, with the step
+    schedule and phi values of integrate_geodesic: a cross-check of its
+    closed form."""
     omega_sq = fisher_const / 4.0
 
     def coefficients(h):
@@ -121,6 +124,30 @@ def array_rk4(init, fisher_const, phi_end, dt):
         x, v = x + (s * v - a * x), v - (a * v + w * x)
         rows.append((x, v, float(phi_end)))
     return rows
+
+
+def exact_rk4(init, fisher_const, phi_end, dt):
+    """The rows (x, xdot) of array_rk4, each step taken in 50-digit decimal
+    arithmetic from the exact values of the same floats: the RK4 propagator
+    of integrate_geodesic without rounding."""
+    D = decimal.Decimal
+    with decimal.localcontext() as context:
+        context.prec = 50
+        omega_sq = D(fisher_const) / 4
+        span = phi_end - float(init.phi)
+        n_full = math.floor(span / dt + 1e-9)
+        remainder = span - n_full * dt
+        steps = [dt] * n_full + [remainder] * (remainder > 1e-12 * max(1.0, span))
+        x, v = [D(float(c)) for c in init.x], [D(float(c)) for c in init.xdot]
+        rows = [(x, v)]
+        for h in map(D, steps):
+            z = omega_sq * h * h
+            s = h * (1 - z / 6)
+            a, w = z / 2 - z * z / 24, omega_sq * s
+            x, v = ([xi + (s * vi - a * xi) for xi, vi in zip(x, v)],
+                    [vi - (a * vi + w * xi) for xi, vi in zip(x, v)])
+            rows.append((x, v))
+    return [(np.array(x, dtype=float), np.array(v, dtype=float)) for x, v in rows]
 
 
 class TestFisherDiscrete:
@@ -365,7 +392,7 @@ class TestGeodesicResidual:
 def tied_state(dim, ties, seed):
     """A random unit x and a tangent v.  "tied" repeats the first (x, v)
     pair over every other coordinate; "signed zeros" puts 0.0 and -0.0 side
-    by side, which a shared stepped trajectory must not merge."""
+    by side, which a shared trajectory must not merge."""
     rng = np.random.default_rng(seed)
     x, v = rng.normal(size=dim), rng.normal(size=dim)
     if ties == "tied":
@@ -459,25 +486,40 @@ class TestIntegrateGeodesic:
            st.one_of(st.floats(0.0, 3.0), st.integers(0, 300)),
            st.sampled_from(["distinct", "tied", "signed zeros"]),
            st.integers(0, 2**32 - 1))
-    def test_float_steps_equal_array_steps(self, dim, fisher_const, dt, span, ties, seed):
-        """Bit for bit: float spans mostly end in a partial step, integer
-        spans count whole steps of dt.  Tied coordinates share one stepped
-        trajectory, which must not merge 0.0 with -0.0."""
+    def test_closed_form_equals_exact_rk4(self, dim, fisher_const, dt, span, ties, seed):
+        """Every row near the exact RK4 rows: the closed form rounds a turn
+        and a scale per row, so its error grows with the total turn omega *
+        span and the largest pair radius rho = hypot(x, xdot / omega), and
+        the bound is 1e-14 (1 + turn) max(1, rho) in omega x and in xdot.
+        Float spans mostly end in a partial step, integer spans count whole
+        steps of dt.  Array stepping agrees to 1e-12 and its phis bit for
+        bit; tied coordinates share one trajectory, but 0.0 and -0.0 do not."""
         x, v, phi0 = tied_state(dim, ties, seed)
         phi_end = phi0 + (span * dt if isinstance(span, int) else span)
         init = GeodesicState(x, v, phi0)
         states = integrate_geodesic(init, fisher_const, phi_end, dt)
         reference = array_rk4(init, fisher_const, phi_end, dt)
-        assert len(states) == len(reference)
+        exact = exact_rk4(init, fisher_const, phi_end, dt)
+        assert len(states) == len(reference) == len(exact)
         assert [state.phi for state in states] == [phi for _, _, phi in reference]
-        for state, (ref_x, ref_v, _) in zip(states, reference):
+        assert states.phis.tobytes() == np.array([phi for _, _, phi in reference]).tobytes()
+        assert states.x.shape == states.xdot.shape == (len(states), dim)
+        omega = np.sqrt(fisher_const) / 2
+        rho = max(1.0, float(np.max(np.hypot(x, v / omega))))
+        bound = 1e-14 * (1.0 + omega * (phi_end - phi0)) * rho
+        for state, (ref_x, ref_v, _), (exact_x, exact_v) in zip(states, reference, exact):
             assert state.x.shape == state.xdot.shape == (dim,)
-            assert state.x.tobytes() == ref_x.tobytes()
-            assert state.xdot.tobytes() == ref_v.tobytes()
-        ref_xs, ref_vs, ref_phis = (np.array(column) for column in zip(*reference))
-        assert states.phis.tobytes() == ref_phis.tobytes()
-        assert states.x.tobytes() == ref_xs.tobytes()
-        assert states.xdot.tobytes() == ref_vs.tobytes()
+            assert np.max(omega * np.abs(state.x - exact_x)) <= bound
+            assert np.max(np.abs(state.xdot - exact_v)) <= bound
+            assert np.max(np.abs(state.x - ref_x)) < 1e-12
+            assert np.max(np.abs(state.xdot - ref_v)) < 1e-12
+        assert states.x[0].tobytes() == x.tobytes()  # 0.0 and -0.0 kept apart
+        assert states.xdot[0].tobytes() == v.tobytes()
+        if ties == "tied":
+            assert states.x[:, 1::2].tobytes() == np.repeat(
+                states.x[:, :1], dim // 2, axis=1).tobytes()
+            assert states.xdot[:, 1::2].tobytes() == np.repeat(
+                states.xdot[:, :1], dim // 2, axis=1).tobytes()
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(1, 8), st.floats(0.1, 8.0), st.floats(1e-3, 0.02),
