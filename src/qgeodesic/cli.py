@@ -31,7 +31,7 @@ from .geometry import (
     _residuals,
     _rk4_to_stops,
     cumulative_action,
-    fisher_discrete,
+    fisher_estimate,
 )
 from .grover import (
     GroverInstance,
@@ -248,7 +248,7 @@ def cmd_geodesic_check(args: argparse.Namespace) -> int:
     dev_analytic = float(np.max(np.abs(probs - analytic)))
     dev_sim = float(np.max(np.abs(probs[:len(sim)] - sim)))
 
-    fisher = fisher_discrete(fine).fisher
+    fisher = fisher_estimate(fine)
     # The path runs from theta to exactly pi/2: its whole action.
     act = float(cumulative_action(fine.phis, fisher)[-1])
     dist = float(np.arccos(uniform[0]))  # Fubini-Study distance to the marked class

@@ -80,31 +80,35 @@ class UnitarityReport:
     phase_variance: np.ndarray
 
 
-def _derivatives(path: ProbabilityPath) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
-    """Real derivative coordinates x, their velocity xdot, the Fisher
-    function 4 sum xdot^2, and whether the amplitude phases vary."""
-    amps, phases_vary = path.amps, False
+def _phases_vary(amps) -> bool:
+    """Whether recorded amplitudes carry phases beyond a sign."""
+    return (amps is not None and np.iscomplexobj(amps)
+            and bool(np.max(np.abs(amps.imag)) > 1e-12))
+
+
+def _derivatives(path: ProbabilityPath) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Real derivative coordinates x, their velocity xdot and the Fisher
+    function 4 sum xdot^2."""
+    amps = path.amps
     if amps is None:
         coords = np.sqrt(path.probs)
-    elif np.iscomplexobj(amps) and np.max(np.abs(amps.imag)) > 1e-12:
-        coords, phases_vary = np.abs(amps), True
+    elif _phases_vary(amps):
+        coords = np.abs(amps)
     else:
         coords = np.ascontiguousarray(amps.real, dtype=np.float64)
     xdot = np.gradient(coords, path.phis, axis=0, edge_order=2)
-    return coords, xdot, 4.0 * np.sum(xdot**2, axis=1), phases_vary
+    return coords, xdot, 4.0 * np.sum(xdot**2, axis=1)
 
 
-def _fisher_and_phase(path: ProbabilityPath) -> tuple[np.ndarray, np.ndarray]:
-    _, _, fisher, phases_vary = _derivatives(path)
-    if phases_vary:
-        angles = np.unwrap(np.angle(np.asarray(path.amps)), axis=0)
-        angdot = np.gradient(angles, path.phis, axis=0, edge_order=2)
-        mean = np.sum(path.probs * angdot, axis=1)
-        phase_var = np.sum(path.probs * angdot**2, axis=1) - mean**2
-        phase_var = np.maximum(phase_var, 0.0)
-    else:
-        phase_var = np.zeros_like(fisher)
-    return fisher, phase_var
+def _phase_variance(path: ProbabilityPath) -> np.ndarray:
+    """Probability-weighted variance of the amplitude phases' rates at each
+    sample; zero where the phases do not vary."""
+    if not _phases_vary(path.amps):
+        return np.zeros(path.n_samples)
+    angles = np.unwrap(np.angle(np.asarray(path.amps)), axis=0)
+    angdot = np.gradient(angles, path.phis, axis=0, edge_order=2)
+    mean = np.sum(path.probs * angdot, axis=1)
+    return np.maximum(np.sum(path.probs * angdot**2, axis=1) - mean**2, 0.0)
 
 
 def _require_samples(path: ProbabilityPath, minimum: int):
@@ -112,6 +116,14 @@ def _require_samples(path: ProbabilityPath, minimum: int):
     if path.n_samples < minimum:
         raise ValueError(
             f"need at least {minimum} samples, got {path.n_samples}")
+
+
+def fisher_estimate(path: ProbabilityPath) -> np.ndarray:
+    """The Fisher information function at every sample of a path of at
+    least 3 samples, as one array: the ``fisher`` field of
+    :func:`fisher_discrete`, without its record array."""
+    _require_samples(path, 3)
+    return _derivatives(path)[2]
 
 
 def fisher_discrete(path: ProbabilityPath) -> np.recarray:
@@ -124,8 +136,8 @@ def fisher_discrete(path: ProbabilityPath) -> np.recarray:
     one-sided second-order stencils.  The phase-variance term is extracted
     from recorded complex amplitudes (zero for constant-phase paths).
     """
-    _require_samples(path, 3)
-    fisher, phase_var = _fisher_and_phase(path)
+    fisher = fisher_estimate(path)
+    phase_var = _phase_variance(path)
     return np.rec.fromarrays(
         [path.phis, fisher, phase_var, (fisher + 4.0 * phase_var) / 4.0],
         names=("phi", "fisher", "phase_variance", "induced_speed_sq"))
@@ -146,7 +158,7 @@ def unitarity_identity_check(path: ProbabilityPath) -> UnitarityReport:
     raw_rate = np.sum(np.abs(cdot) ** 2, axis=1)
     overlap = np.sum(np.conjugate(amps) * cdot, axis=1)
     speed_sq = raw_rate - np.abs(overlap) ** 2
-    fisher, phase_var = _fisher_and_phase(path)
+    fisher, phase_var = _derivatives(path)[2], _phase_variance(path)
     return UnitarityReport(
         phis=path.phis.copy(),
         speed_sq=speed_sq,
@@ -188,8 +200,7 @@ def action(path: ProbabilityPath, phi_from: float, phi_to: float) -> float:
         raise ValueError("integration interval must lie within the path range")
     if phi_to == phi_from:
         return 0.0
-    fisher, _ = _fisher_and_phase(path)
-    cumulative = cumulative_action(phis, fisher)
+    cumulative = cumulative_action(phis, _derivatives(path)[2])
     return float(np.interp(phi_to, phis, cumulative)
                  - np.interp(phi_from, phis, cumulative))
 
@@ -211,7 +222,7 @@ def _residuals(path: ProbabilityPath) -> tuple[np.ndarray, np.ndarray]:
     coordinate with finite-difference derivatives; raises if fisher falls
     below the division guard at any of those samples.
     """
-    coords, xdot, fisher, _ = _derivatives(path)
+    coords, xdot, fisher = _derivatives(path)
     inner = fisher[2:-2]
     low = np.flatnonzero(inner < FISHER_GUARD)
     if low.size:
@@ -319,13 +330,18 @@ def _rk4_to_stops(
     turn_dt, log_scale_dt = step_polar(dt)
     for stop in stops:
         stop = float(stop)
-        if not (all(map(math.isfinite, xs)) and all(map(math.isfinite, vs))
-                and math.isfinite(phi) and math.isfinite(stop)):
-            raise ValueError("non-finite input to geodesic integrator")
         norm = tangency = 0.0
         for count, xi, vi in zip(counts, xs, vs):
             norm += count * xi * xi
             tangency += count * xi * vi
+        # A non-finite x or xdot makes a sum non-finite (x^2 >= 0 adds no
+        # cancelling term, and x * xdot is nan at x = 0), so the elements
+        # are checked only when the sums and phis do not add to a finite
+        # value; a finite sum that overflows just runs the checks.
+        if not math.isfinite(norm + tangency + phi + stop) and not (
+                all(map(math.isfinite, xs)) and all(map(math.isfinite, vs))
+                and math.isfinite(phi) and math.isfinite(stop)):
+            raise ValueError("non-finite input to geodesic integrator")
         if abs(norm - 1.0) > 1e-8:
             raise ValueError("initial amplitudes must satisfy sum x^2 = 1")
         if abs(tangency) > 1e-8:
@@ -373,5 +389,4 @@ def input_information(path: ProbabilityPath, phi0: float) -> float:
     _require_samples(path, 3)
     if phi0 < path.phis[0] - 1e-12 or phi0 > path.phis[-1] + 1e-12:
         raise ValueError("phi0 must lie within the path range")
-    fisher, _ = _fisher_and_phase(path)
-    return float(np.interp(phi0, path.phis, fisher))
+    return float(np.interp(phi0, path.phis, _derivatives(path)[2]))

@@ -11,6 +11,7 @@ starting state at phi = theta and the solution at phi = pi/2.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,7 +57,7 @@ class GroverInstance:
             raise ValueError(f"marked index out of range [0, {n})")
         marked.flags.writeable = False
         object.__setattr__(self, "marked", marked)
-        object.__setattr__(self, "theta", float(np.arcsin(np.sqrt(m / n))))
+        object.__setattr__(self, "theta", search_angle(n, m))
 
     @property
     def n_marked(self) -> int:
@@ -71,6 +72,30 @@ class GroverInstance:
         mask = np.zeros(self.n_items, dtype=bool)
         mask[self.marked] = True
         return mask
+
+
+def search_angle(n_items: int, n_marked: int) -> float:
+    """theta with sin^2 theta = M/N: the uniform state's angle from the
+    unmarked class."""
+    return float(np.arcsin(np.sqrt(n_marked / n_items)))
+
+
+class SearchSizes(NamedTuple):
+    """A search known by its sizes alone, N items of which M are marked.
+
+    The class-level functions (``recursion_trajectory``,
+    ``optimal_iterations``, ``phi_of_step``, ``marked_mass_after``,
+    ``amplification_path`` and ``trace_path``) read only ``n_items``,
+    ``n_marked`` and ``theta`` of a search, so they take this in place of a
+    :class:`GroverInstance` where the marked set is known by its count.
+    """
+
+    n_items: int
+    n_marked: int
+
+    @property
+    def theta(self) -> float:
+        return search_angle(self.n_items, self.n_marked)
 
 
 @dataclass(frozen=True)
@@ -97,7 +122,7 @@ def recursion_step(s: RecursionState, n_items: int, n_marked: int = 1) -> Recurs
 
 
 def recursion_trajectory(
-    inst: GroverInstance, steps: int, memory_cap: int = DEFAULT_MEMORY_CAP
+    inst: GroverInstance | SearchSizes, steps: int, memory_cap: int = DEFAULT_MEMORY_CAP
 ) -> np.ndarray:
     """Per-item amplitudes (k_j, l_j) of the marked and unmarked items for
     j = 0..steps, from the uniform state; shape (steps + 1, 2), its cells
@@ -154,7 +179,7 @@ def _resampled_class_path(
 
 
 def amplification_path(
-    inst: GroverInstance, dphi: float, memory_cap: int = DEFAULT_MEMORY_CAP
+    inst: GroverInstance | SearchSizes, dphi: float, memory_cap: int = DEFAULT_MEMORY_CAP
 ) -> ProbabilityPath:
     """The class path from the uniform state at phi = theta to the solution
     at pi/2, resampled at step <= dphi (at least 5 samples)."""
@@ -162,7 +187,8 @@ def amplification_path(
 
 
 def trace_path(
-    inst: GroverInstance, steps: int, dphi: float, memory_cap: int = DEFAULT_MEMORY_CAP
+    inst: GroverInstance | SearchSizes, steps: int, dphi: float,
+    memory_cap: int = DEFAULT_MEMORY_CAP,
 ) -> ProbabilityPath:
     """The class path from theta to phi_steps padded two steps beyond both ends
     (not below 0), so that central stencils serve every step; step <= dphi."""
@@ -170,18 +196,18 @@ def trace_path(
                                  phi_of_step(inst, steps) + 2 * dphi, dphi, 7, memory_cap)
 
 
-def phi_of_step(inst: GroverInstance, step: int | np.ndarray) -> float | np.ndarray:
+def phi_of_step(inst: GroverInstance | SearchSizes, step: int | np.ndarray) -> float | np.ndarray:
     """Continuous parameter value of discrete step j: (2j + 1) * theta, for
     one step or elementwise for an integer array of steps."""
     return (2 * step + 1) * inst.theta
 
 
-def optimal_iterations(inst: GroverInstance) -> int:
+def optimal_iterations(inst: GroverInstance | SearchSizes) -> int:
     """floor(pi / (4 theta)), the step count that lands nearest phi = pi/2."""
     return int(np.floor(np.pi / (4 * inst.theta)))
 
 
-def marked_mass_after(inst: GroverInstance, steps: int) -> float:
+def marked_mass_after(inst: GroverInstance | SearchSizes, steps: int) -> float:
     """Closed-form total marked probability sin^2((2j + 1) theta)."""
     return float(np.sin(phi_of_step(inst, steps)) ** 2)
 

@@ -12,21 +12,25 @@ Two period finders share the same number-theoretic post-processing:
 * ``grover_period`` amplifies the arguments a with y^a = y (mod N) by
   running amplitude amplification over the first register, samples the
   amplified state a few times, and takes gcds of the sample differences.
-  Every primitive in this route is unitary except the final readout.
+  Every primitive in this route is unitary except the final readout.  It
+  holds the two amplitudes of the marked and unmarked arguments, and draws
+  its readouts from their known pattern over the register.
 
 Both return verified minimal periods along with operation counters.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass, field
 import numpy as np
 
-from .geometry import fisher_discrete
+from .geometry import fisher_estimate
 from .grover import (
     GroverInstance,
+    SearchSizes,
     amplification_path,
     optimal_iterations,
     recursion_trajectory,
@@ -136,8 +140,16 @@ class PeriodInstance:
     @functools.cached_property
     def search(self) -> GroverInstance:
         """Search over the argument register for {a : y^a = y (mod N)},
-        built on first use from :func:`marked_arguments`."""
+        built on first use from :func:`marked_arguments`: the dense
+        reference's instance, which no command builds."""
         return GroverInstance(self.register_size, marked_arguments(self))
+
+    @property
+    def search_sizes(self) -> SearchSizes:
+        """That search by its sizes: q arguments, of which the
+        M = (q - 2) // r + 1 with a = 1 (mod r) below q are marked."""
+        q = self.register_size
+        return SearchSizes(q, (q - 2) // self.orbit.size + 1)
 
 
 @dataclass(frozen=True)
@@ -228,20 +240,51 @@ def _projected_column(inst: PeriodInstance, value: int) -> np.ndarray:
 
 
 def _readout_cdf(p: np.ndarray) -> np.ndarray:
-    """The cumulative distribution that ``Generator.choice(p.size, p=p)``
-    draws from (numpy 2.4.6 builds ``p.cumsum()`` and divides it by its last
-    entry), built in p's own memory.  p is non-negative and normalised where
-    it is made, so choice's checks of it are not repeated."""
-    np.cumsum(p, out=p)
-    p /= p[-1]
-    return p
+    """The cumulative sums that ``Generator.choice(p.size, p=p)`` draws from
+    (numpy 2.4.6 builds ``p.cumsum()`` and divides it by its last entry),
+    built in p's own memory and left undivided: :func:`_draw` divides the
+    entries it reads.  p is non-negative and normalised where it is made,
+    so choice's checks of it are not repeated."""
+    return np.cumsum(p, out=p)
 
 
-def _draw(cdf: np.ndarray, rng: np.random.Generator, size: int | None = None):
-    """``choice``'s readouts from the distribution with this CDF: one
-    ``rng.random(size)`` call, each uniform placed by binary search.  The
-    same indices and generator state as ``rng.choice(cdf.size, size, p=p)``."""
-    return cdf.searchsorted(rng.random(size), side="right")
+def _draw(cdf: np.ndarray, rng: np.random.Generator) -> int:
+    """One of ``choice``'s readouts from the distribution with these
+    cumulative sums: one ``rng.random()`` call, placed by bisection on
+    ``cdf / cdf[-1]``.  Only the ~log2(size) entries it probes are divided,
+    each to the same IEEE quotient as in choice's normalised CDF, so the
+    index and generator state are those of ``rng.choice(cdf.size, p=p)``."""
+    total = cdf[-1]
+    return bisect.bisect_right(cdf, rng.random(), key=lambda c: c / total)
+
+
+def _amplified_readouts(inst: PeriodInstance, k: float, l: float, uniforms) -> list[int]:
+    """Readouts of the amplified register, with amplitude k on each marked
+    and l on each unmarked argument, one per uniform in [0, 1), by
+    inverting the CDF of its known pattern: argument 0 carries l^2, then
+    each block of r arguments carries k^2 at its marked argument 1 + b r
+    and l^2 at the r - 1 after it, the last block cut off at q - 1.  Each
+    uniform lands where ``searchsorted(side="right")`` puts it on the
+    normalised cumulative sums of the q probabilities, up to their rounding,
+    with no q-long array."""
+    q, m = inst.search_sizes
+    r = inst.orbit.size
+    marked, unmarked = k * k, l * l
+    block = marked + (r - 1) * unmarked
+    total = m * marked + (q - m) * unmarked
+    readouts = []
+    for u in uniforms:
+        mass = u * total - unmarked  # beyond argument 0
+        if mass < 0.0:
+            readouts.append(0)
+            continue
+        b = math.floor(mass / block)
+        beyond = mass - b * block - marked  # beyond block b's marked argument
+        readout = 1 + b * r
+        if beyond >= 0.0 and unmarked:  # an exact landing has l = 0, no mass here
+            readout += 1 + math.floor(beyond / unmarked)
+        readouts.append(min(readout, q - 1))
+    return readouts
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -290,17 +333,17 @@ def shor_sample(
     register exceed ``memory_cap``.
     """
     require_amplitudes(inst.register_size, memory_cap, "register")
-    l = int(_draw(inst.value_cdf, rng))
+    l = _draw(inst.value_cdf, rng)
     amps = _projected_column(inst, l)
     # The readout distribution of measure_register, without its collapse:
     # qft's transform, taken in place, |c|^2 normalised in place, and its
-    # CDF built in place.
+    # cumulative sums built in place.
     p = np.abs(np.fft.ifft(amps, norm="ortho", out=amps))
     np.square(p, out=p)
     total = p.sum()
     require_normalized(float(total))
     p /= total
-    c = int(_draw(_readout_cdf(p), rng))
+    c = _draw(_readout_cdf(p), rng)
     return l, c
 
 
@@ -339,24 +382,6 @@ def shor_period(
     return PeriodResult(SHOR, None, oracle_calls, measurements, budget, False)
 
 
-def _amplified_distribution(inst: PeriodInstance, memory_cap: int) -> tuple[np.ndarray, int]:
-    """Run the search loop over the argument register on its two amplitudes;
-    returns the readout distribution of the amplified register, k^2 on each
-    marked and l^2 on each unmarked argument, normalised, and the iteration
-    count."""
-    q = inst.register_size
-    require_amplitudes(q, memory_cap, "register")
-    search = inst.search
-    steps = optimal_iterations(search)
-    k, l = recursion_trajectory(search, steps, memory_cap)[-1]
-    m = search.n_marked
-    require_normalized(float(m * k * k + (q - m) * l * l))
-    p = np.full(q, l * l)
-    p[search.marked] = k * k
-    p /= p.sum()
-    return p, steps
-
-
 def grover_period(
     inst: PeriodInstance,
     rng: np.random.Generator,
@@ -372,6 +397,12 @@ def grover_period(
     Rounds of fresh samples are drawn until verification succeeds or
     ``budget`` rounds have run.
 
+    The loop runs on the two amplitudes (k, l) of the marked and unmarked
+    arguments, and each readout is drawn from their pattern over the
+    register (see :func:`_amplified_readouts`), so no q-long array is
+    built; the q amplitudes of the register are still charged against
+    ``memory_cap``.
+
     The schedule assumes the marked count: the iteration count
     floor(pi / (4 theta)) comes from sin^2 theta = M/q with M = ceil((q-1)/r)
     marked arguments, so it is set from the period it looks for.  The
@@ -382,16 +413,20 @@ def grover_period(
     """
     if samples < 2:
         raise ValueError(f"need at least 2 samples, got {samples}")
-    y, n = inst.base, inst.modulus
-    p, steps = _amplified_distribution(inst, memory_cap)
-    cdf = _readout_cdf(p)
+    y, n, q = inst.base, inst.modulus, inst.register_size
+    require_amplitudes(q, memory_cap, "register")
+    search = inst.search_sizes
+    steps = optimal_iterations(search)
+    k, l = recursion_trajectory(search, steps, memory_cap)[-1].tolist()
+    m = search.n_marked
+    require_normalized(m * k * k + (q - m) * l * l)
     oracle_calls = measurements = 0
     for round_index in range(1, budget + 1):
-        # One draw of `samples` readouts makes the draws of one call per
+        # One call for `samples` uniforms makes the draws of one call per
         # readout.  The gcd of the differences to the first readout is the
         # gcd of all pairwise differences; it is 0 when every readout is the
         # same.
-        first, *rest = _draw(cdf, rng, samples).tolist()
+        first, *rest = _amplified_readouts(inst, k, l, rng.random(samples).tolist())
         g = math.gcd(*(outcome - first for outcome in rest))
         oracle_calls += samples * steps  # one oracle application per loop iteration
         measurements += samples
@@ -612,14 +647,14 @@ def compare_methods(
     shor_res = shor_period(inst, shor_rng, budget=budget, memory_cap=memory_cap)
     grover_res = grover_period(inst, grover_rng, samples=samples, budget=budget,
                                memory_cap=memory_cap)
-    trace = fisher_discrete(amplification_path(inst.search, trace_dphi, memory_cap))
+    trace = amplification_path(inst.search_sizes, trace_dphi, memory_cap)
     return ComparisonReport(
         seed=seed,
         modulus=inst.modulus,
         base=inst.base,
         register_size=inst.register_size,
         methods={SHOR: shor_res, GROVER_ADIABATIC: grover_res},
-        fisher_phis=trace.phi.tolist(),
-        fisher_values=trace.fisher.tolist(),
+        fisher_phis=trace.phis.tolist(),
+        fisher_values=fisher_estimate(trace).tolist(),
     )
 

@@ -206,15 +206,17 @@ def _digests(args: list[str]) -> dict:
 @contextlib.contextmanager
 def _counting_dense_calls():
     """Wrap every binding of the dense reference functions, in every loaded
-    qgeodesic module, ``StateVector.__post_init__`` and the build of
-    ``PeriodInstance.table`` with a call counter; restore them on exit."""
+    qgeodesic module, ``StateVector.__post_init__`` and the builds of
+    ``PeriodInstance.table`` and ``PeriodInstance.search`` (the marked
+    array) with a call counter; restore them on exit."""
     originals = {}
     for layer, names in DENSE.items():
         module = importlib.import_module(f"qgeodesic.{layer}")
         for name in names:
             originals[getattr(module, name)] = f"{layer}.{name}"
+    cached = ("table", "search")  # PeriodInstance's q-long reference builds
     calls = dict.fromkeys([*originals.values(), "states.StateVector",
-                           "period.PeriodInstance.table"], 0)
+                           *(f"period.PeriodInstance.{name}" for name in cached)], 0)
 
     def counted(fn, label):
         @functools.wraps(fn)
@@ -224,13 +226,15 @@ def _counting_dense_calls():
         return wrapper
 
     post_init = StateVector.__post_init__
-    table = vars(PeriodInstance)["table"]
-    patched = [(StateVector, "__post_init__", post_init), (PeriodInstance, "table", table)]
+    patched = [(StateVector, "__post_init__", post_init)]
     StateVector.__post_init__ = counted(post_init, "states.StateVector")
-    counted_table = functools.cached_property(
-        counted(table.func, "period.PeriodInstance.table"))
-    counted_table.__set_name__(PeriodInstance, "table")
-    PeriodInstance.table = counted_table
+    for name in cached:
+        build = vars(PeriodInstance)[name]
+        patched.append((PeriodInstance, name, build))
+        counted_build = functools.cached_property(
+            counted(build.func, f"period.PeriodInstance.{name}"))
+        counted_build.__set_name__(PeriodInstance, name)
+        setattr(PeriodInstance, name, counted_build)
     for name, module in list(sys.modules.items()):
         if name == "qgeodesic" or name.startswith("qgeodesic."):
             for attr, value in list(vars(module).items()):

@@ -43,10 +43,11 @@ from qgeodesic import (
     shor_sample,
 )
 from qgeodesic import StateVector, period
+from qgeodesic.grover import recursion_trajectory, search_angle
 from qgeodesic.period import (
     DEFAULT_BUDGET,
     PeriodResult,
-    _amplified_distribution,
+    _amplified_readouts,
     _integer_root,
     _prime_power_base,
     _verified_minimal_period,
@@ -207,13 +208,13 @@ class RecordingGenerator:
 
 @pytest.fixture
 def drawn_cdfs(monkeypatch):
-    """A copy of the CDF of every readout draw, in order."""
+    """A copy of the cumulative sums of every readout draw, in order."""
     cdfs = []
     draw = period._draw
 
-    def recording(cdf, rng, size=None):
+    def recording(cdf, rng):
         cdfs.append(cdf.copy())
-        return draw(cdf, rng, size)
+        return draw(cdf, rng)
 
     monkeypatch.setattr(period, "_draw", recording)
     return cdfs
@@ -351,17 +352,23 @@ class TestShorSampleMatchesDense:
     @pytest.mark.parametrize("n,y", [(15, 2), (21, 5), (35, 2), (45, 7), (91, 3),
                                      (143, 2), (221, 7)])
     def test_readout_is_the_qft_of_the_column(self, n, y, drawn_cdfs):
-        """The in-place transform and cumulative sum give, bit for bit, the
-        CDF of the normalised |c|^2 of qft on the projected column."""
+        """The frequency drawn from the in-place transform and cumulative
+        sums is the one that choice's steps draw from the normalised |c|^2
+        of qft on the projected column: its CDF holds, bit for bit, the
+        quotients that the draw divides out of the sums."""
         inst = PeriodInstance(n, y)
         for seed in range(3):
             drawn_cdfs.clear()
-            l, _ = shor_sample(inst, np.random.default_rng(seed))
+            l, c = shor_sample(inst, np.random.default_rng(seed))
             expected = np.abs(qft(StateVector(table_column(inst, l))).amplitudes) ** 2
             cdf = np.cumsum(expected / expected.sum())
             cdf /= cdf[-1]
             assert len(drawn_cdfs) == 2  # the function value, then the frequency
-            assert drawn_cdfs[1].tobytes() == cdf.tobytes()
+            sums = drawn_cdfs[1]
+            assert (sums / sums[-1]).tobytes() == cdf.tobytes()
+            rng = np.random.default_rng(seed)
+            rng.random()  # the function value's uniform
+            assert c == cdf.searchsorted(rng.random(), side="right")
 
     def test_peak_is_the_column_and_its_distribution(self):
         # q = 2^20: the charged register is q complex amplitudes (16 MiB).
@@ -521,7 +528,7 @@ class TestVerifiedMinimalPeriod:
         assert math.gcd(math.gcd(88, 64), 24) == 8
 
         inst = PeriodInstance(15, 2)
-        p, _ = _amplified_distribution(inst, 1 << 26)
+        p, _ = amplified_distribution(inst)
         cdf = np.cumsum(p)
         cdf /= cdf[-1]
 
@@ -600,14 +607,16 @@ class TestGroverPeriod:
 
     def test_n15_amplified_state_is_exact(self):
         inst = PeriodInstance(15, 2)
-        p, steps = _amplified_distribution(inst, 1 << 26)
-        assert steps == 1 and inst.search.n_marked == 64
-        assert abs(p[marked_arguments(inst)].sum() - 1.0) < 1e-12
+        search = inst.search_sizes
+        steps = optimal_iterations(search)
+        k, l = recursion_trajectory(search, steps)[-1]
+        assert steps == 1 and search.n_marked == 64
+        assert abs(64 * k * k - 1.0) < 1e-12 and l == 0.0
 
     def test_n21_amplified_mass_matches_closed_form(self):
         inst = PeriodInstance(21, 2)
-        p, steps = _amplified_distribution(inst, 1 << 26)
-        q, tau = inst.register_size, inst.search.n_marked
+        p, steps = amplified_distribution(inst)
+        q, tau = inst.register_size, inst.search_sizes.n_marked
         theta = np.arcsin(np.sqrt(tau / q))
         expected = np.sin((2 * steps + 1) * theta) ** 2
         mass = p[marked_arguments(inst)].sum()
@@ -615,9 +624,12 @@ class TestGroverPeriod:
         assert mass >= 1 - tau / q
 
     def test_readouts_lie_on_the_progression(self):
-        p, _ = _amplified_distribution(PeriodInstance(15, 2), 1 << 26)
-        outcomes = np.random.default_rng(21).choice(p.size, size=20, p=p)
-        assert np.all(outcomes % 4 == 1)
+        inst = PeriodInstance(15, 2)
+        search = inst.search_sizes
+        k, l = recursion_trajectory(search, optimal_iterations(search))[-1]
+        uniforms = np.random.default_rng(21).random(20).tolist()
+        outcomes = _amplified_readouts(inst, k, l, uniforms)
+        assert all(outcome % 4 == 1 for outcome in outcomes)
 
     def test_search_is_built_once_from_the_mask(self):
         inst = PeriodInstance(35, 4)
@@ -626,6 +638,31 @@ class TestGroverPeriod:
         assert search.n_items == inst.register_size
         assert np.array_equal(search.marked, marked_arguments(inst))
         assert not search.marked.flags.writeable
+
+    @pytest.mark.parametrize("n,y", SWEEP + [(91, 3), (143, 2), (1023, 1022), (4087, 3)])
+    def test_sizes_are_the_searchs(self, n, y):
+        """(q, M) counted from the orbit, and theta with them, equal the
+        dense instance's, bit for bit."""
+        inst = PeriodInstance(n, y)
+        sizes, search = inst.search_sizes, inst.search
+        assert (sizes.n_items, sizes.n_marked) == (search.n_items, search.n_marked)
+        assert sizes.theta == search.theta == search_angle(search.n_items, search.n_marked)
+        assert optimal_iterations(sizes) == optimal_iterations(search)
+
+    def test_no_q_long_allocation(self):
+        # q = 2^24: the two amplitudes, the schedule and the readouts, with
+        # no distribution, CDF or marked array (each 128 MiB at this q)
+        inst = PeriodInstance(4087, 3)
+        assert inst.register_size == 1 << 24
+        rng = np.random.default_rng(1)  # made before tracing: not the route's
+        tracemalloc.start()
+        try:
+            result = grover_period(inst, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.succeeded and result.period == order_bruteforce(3, 4087)
+        assert peak < 2**20, f"peak {peak / 2**20:.2f} MiB"
 
     def test_unnormalised_amplitudes_are_refused(self, monkeypatch):
         monkeypatch.setattr(period, "recursion_trajectory",
@@ -653,12 +690,11 @@ class TestGroverPeriod:
         for (n, y), samples in zip(SWEEP, itertools.cycle((2, 3, 5))):
             for seed in range(3):
                 rng = RecordingGenerator(seed)
-                builds.clear()
                 result = grover_period(PeriodInstance(n, y), rng, samples=samples)
                 assert rng.sizes == [samples] * result.attempts
-                assert len(builds) == 1  # one CDF for every round
                 rounds.append(result.attempts)
         assert max(rounds) > 1
+        assert builds == []  # the readouts invert the pattern's CDF in closed form
 
     def test_deterministic(self):
         runs = [grover_period(PeriodInstance(35, 2), np.random.default_rng(3))
@@ -697,6 +733,36 @@ class TestBothMethodsAgreeWithBruteForce:
             assert grover_period(inst, np.random.default_rng(y)).period == expected
 
 
+def amplified_distribution(inst):
+    """The amplified register's readout distribution over all q arguments,
+    k^2 on each marked and l^2 on each unmarked argument, normalised, from
+    the dense instance's marked array; and the iteration count.  The
+    q-long reference of the closed-form readouts."""
+    search = inst.search
+    steps = optimal_iterations(search)
+    k, l = recursion_trajectory(search, steps)[-1]
+    p = np.full(search.n_items, l * l)
+    p[search.marked] = k * k
+    return p / p.sum(), steps
+
+
+def reference_grover_period(inst, rng, steps, readouts, samples=3, budget=DEFAULT_BUDGET):
+    """grover_period's rounds and counters, each round's readouts drawn by
+    ``readouts(rng, samples)``."""
+    oracle_calls = measurements = 0
+    for round_index in range(1, budget + 1):
+        outcomes = readouts(rng, samples)
+        oracle_calls += samples * steps
+        measurements += samples
+        g = math.gcd(*(outcome - outcomes[0] for outcome in outcomes))
+        found = _verified_minimal_period(inst.base, inst.modulus, g)
+        if found is not None:
+            return PeriodResult(
+                GROVER_ADIABATIC, found, oracle_calls, measurements, round_index, True)
+    return PeriodResult(
+        GROVER_ADIABATIC, None, oracle_calls, measurements, budget, False)
+
+
 def dense_amplified_state(inst):
     """The statevector search loop over the whole argument register."""
     search = GroverInstance(inst.register_size, marked_arguments(inst))
@@ -713,22 +779,25 @@ class TestAmplifiedStateMatchesDense:
     no register size strictly inside (N^2, 2 N^2)."""
 
     @pytest.mark.parametrize("n", [n for n in range(3, 51) if n & (n - 1)])
-    def test_seeded_readouts(self, n, monkeypatch):
+    def test_seeded_readouts(self, n):
+        """The closed-form readouts give the result and counters of rounds
+        drawn by ``choice`` from the dense state's distribution."""
         for y in valid_bases(n):
             inst = PeriodInstance(n, y)
-            p, steps = _amplified_distribution(inst, 1 << 26)
+            p, steps = amplified_distribution(inst)
             state, dense_steps, tau = dense_amplified_state(inst)
-            assert (steps, inst.search.n_marked) == (dense_steps, tau)
+            assert (steps, inst.search_sizes.n_marked) == (dense_steps, tau)
             dense_p = state.probabilities()
             dense_p /= dense_p.sum()
             assert np.max(np.abs(p - dense_p)) < 1e-15
+
+            def choice_readouts(rng, samples):
+                return rng.choice(dense_p.size, samples, p=dense_p).tolist()
+
             for seed in range(5):
-                reduced = grover_period(inst, np.random.default_rng(seed))
-                with monkeypatch.context() as patch:
-                    # a copy each call: grover_period builds its CDF in place
-                    patch.setattr(period, "_amplified_distribution",
-                                  lambda *_: (dense_p.copy(), dense_steps))
-                    assert grover_period(inst, np.random.default_rng(seed)) == reduced
+                assert grover_period(inst, np.random.default_rng(seed)) == \
+                    reference_grover_period(inst, np.random.default_rng(seed),
+                                            dense_steps, choice_readouts)
 
 
 def measured_grover_period(inst, rng, samples, budget):
@@ -736,20 +805,98 @@ def measured_grover_period(inst, rng, samples, budget):
     statevector loop's amplified state: the reference for its draws from
     the two-amplitude distribution."""
     state, steps, _ = dense_amplified_state(inst)
-    oracle_calls = measurements = 0
-    for round_index in range(1, budget + 1):
-        outcomes = []
-        for _ in range(samples):
-            outcomes.append(measure_register(state, 0, rng)[0])
-            oracle_calls += steps
-            measurements += 1
-        g = math.gcd(*(outcome - outcomes[0] for outcome in outcomes))
-        found = _verified_minimal_period(inst.base, inst.modulus, g) if g else None
-        if found is not None:
-            return PeriodResult(
-                GROVER_ADIABATIC, found, oracle_calls, measurements, round_index, True)
-    return PeriodResult(
-        GROVER_ADIABATIC, None, oracle_calls, measurements, budget, False)
+
+    def measured_readouts(rng, samples):
+        return [measure_register(state, 0, rng)[0] for _ in range(samples)]
+
+    return reference_grover_period(inst, rng, steps, measured_readouts, samples, budget)
+
+
+def closed_form_readouts(inst, uniforms):
+    """grover_period's readouts of the amplified register for these uniforms."""
+    search = inst.search_sizes
+    k, l = recursion_trajectory(search, optimal_iterations(search))[-1]
+    return _amplified_readouts(inst, k, l, list(uniforms))
+
+
+def reference_cdf(inst):
+    """The normalised CDF of the q-long reference distribution, which
+    ``choice`` draws from by ``searchsorted(side="right")``."""
+    p, _ = amplified_distribution(inst)
+    cdf = np.cumsum(p)
+    cdf /= cdf[-1]
+    return cdf
+
+
+# Uniforms j / 4099, none dyadic but 0, and the largest that ``random`` can
+# return.  q is a power of two, so an amplified CDF can hold exactly dyadic
+# boundaries; a uniform equal to one is placed by the rounding of each side's
+# sums (see test_dyadic_ties_differ_only_on_a_boundary).
+GRID = np.append(np.arange(4099) / 4099, np.nextafter(1.0, 0.0))
+
+
+class TestAmplifiedReadouts:
+    """The closed-form inverse of the amplified register's CDF against
+    ``searchsorted`` on the q-long reference's cumulative sums."""
+
+    @pytest.mark.parametrize("n", [n for n in range(3, 51) if n & (n - 1)])
+    def test_grid_readouts_are_choices(self, n):
+        for y in valid_bases(n):
+            inst = PeriodInstance(n, y)
+            assert (closed_form_readouts(inst, GRID.tolist())
+                    == reference_cdf(inst).searchsorted(GRID, side="right").tolist())
+
+    @settings(max_examples=60, deadline=None)
+    @given(valid_instances(255), st.integers(0, 2**64 - 1))
+    def test_readouts_are_choices_up_to_q_2_16(self, case, seed):
+        inst = PeriodInstance(*case)
+        assert inst.register_size <= 1 << 16
+        uniforms = np.concatenate((GRID, np.random.default_rng(seed).random(1000)))
+        assert (closed_form_readouts(inst, uniforms.tolist())
+                == reference_cdf(inst).searchsorted(uniforms, side="right").tolist())
+
+    def test_exact_landing(self):
+        # q = 256, r = 4: theta = pi/6, and one step puts all the mass on
+        # the progression, l = 0.0 exactly
+        inst = PeriodInstance(15, 2)
+        search = inst.search_sizes
+        k, l = recursion_trajectory(search, optimal_iterations(search))[-1]
+        assert l == 0.0 and k > 0.0
+        readouts = closed_form_readouts(inst, GRID.tolist())
+        assert readouts == reference_cdf(inst).searchsorted(GRID, side="right").tolist()
+        assert all(readout % 4 == 1 for readout in readouts)
+        assert readouts[0] == 1 and readouts[-1] == 253
+
+    def test_dyadic_ties_differ_only_on_a_boundary(self):
+        """On the dyadic grid (j + 1/2) / 4096 some uniforms equal a CDF
+        boundary in exact arithmetic.  The two sides may place such a uniform
+        on either side of it, and nowhere else."""
+        uniforms = (np.arange(4096) + 0.5) / 4096
+        for n in (n for n in range(3, 51) if n & (n - 1)):
+            for y in valid_bases(n):
+                inst = PeriodInstance(n, y)
+                cdf = reference_cdf(inst)
+                got = np.array(closed_form_readouts(inst, uniforms.tolist()))
+                expected = cdf.searchsorted(uniforms, side="right")
+                differ = np.flatnonzero(got != expected)
+                boundary = cdf[np.minimum(got, expected)[differ]]
+                assert np.all(np.abs(uniforms[differ] - boundary) <= 1e-15), (n, y)
+
+    def test_marked_frequency_at_q_2_24(self):
+        # q = 2^24: the readouts on the progression a = 1 (mod r) occur at
+        # the marked mass M k^2, within 4 sigma over 10^5 draws
+        inst = PeriodInstance(4087, 3)
+        assert inst.register_size == 1 << 24
+        search = inst.search_sizes
+        k, l = recursion_trajectory(search, optimal_iterations(search))[-1]
+        mass = search.n_marked * k * k
+        draws = 10**5
+        readouts = closed_form_readouts(inst, np.random.default_rng(5).random(draws))
+        r = inst.orbit.size
+        on_progression = sum(readout % r == 1 for readout in readouts)
+        sigma = math.sqrt(draws * mass * (1 - mass))
+        assert abs(on_progression - draws * mass) <= 4 * sigma + 1e-9
+        assert 0 <= min(readouts) and max(readouts) < inst.register_size
 
 
 class TestBornDrawReadouts:
@@ -780,11 +927,16 @@ class TestReadoutDrawIdentity:
                     min_size=1, max_size=40).filter(lambda w: sum(w) > 0),
            st.sampled_from([None, 2, 3, 4, 5, 6, 7, 8]), st.integers(0, 2**64 - 1))
     def test_cdf_draw_is_choice(self, weights, size, seed):
+        """One scalar draw per readout from the undivided sums makes
+        choice's draws, for one readout and, by the identity below, for
+        ``size`` readouts in one call."""
         p = np.array(weights) / sum(weights)
         by_cdf, by_choice = np.random.default_rng(seed), np.random.default_rng(seed)
-        drawn = period._draw(period._readout_cdf(p.copy()), by_cdf, size)
+        sums = period._readout_cdf(p.copy())
+        drawn = [period._draw(sums, by_cdf) for _ in range(size or 1)]
         expected = by_choice.choice(p.size, size, p=p)
-        assert np.asarray(drawn).tolist() == np.asarray(expected).tolist()
+        assert drawn == np.atleast_1d(expected).tolist()
+        assert all(type(index) is int for index in drawn)
         assert by_cdf.bit_generator.state == by_choice.bit_generator.state
 
     @settings(max_examples=300, deadline=None)
