@@ -29,7 +29,8 @@ import numpy as np
 from .geometry import (
     GeodesicState,
     _residuals,
-    _rk4_to_stops,
+    _rk4_propagate,
+    _rk4_schedule,
     cumulative_action,
     fisher_estimate,
 )
@@ -244,7 +245,8 @@ def cmd_geodesic_check(args: argparse.Namespace) -> int:
     analytic = class_path(np.minimum(targets, np.pi / 2)).probs / sizes
     uniform = np.sqrt(sizes) / np.sqrt(n_items)
     start = GeodesicState(uniform, np.array([np.cos(theta), -np.sin(theta)]), theta)
-    probs = _rk4_to_stops(start, 4.0, targets, GEODESIC_DT).x[1:]**2 / sizes
+    x, v, n, h = _rk4_schedule(start, 4.0, targets, GEODESIC_DT)
+    probs = _rk4_propagate(x, v, 4.0, GEODESIC_DT, n, h)[0]**2 / sizes
     dev_analytic = float(np.max(np.abs(probs - analytic)))
     dev_sim = float(np.max(np.abs(probs[:len(sim)] - sim)))
 

@@ -250,40 +250,35 @@ def integrate_geodesic(
 ) -> GeodesicTrajectory:
     """Integrate the constant-Fisher oscillator xddot = -(fisher/4) x.
 
-    Classic fixed-step fourth-order Runge-Kutta, whose steps of length dt
-    and final partial step, shortened to land on phi_end, are taken in
-    closed form (see :func:`_rk4_to_stops`).  Returns every state, the
-    initial one first, as a :class:`GeodesicTrajectory`.  Exact solution
-    for comparison: x(phi) = x0 cos(w dphi) + (xdot0 / w) sin(w dphi) with
-    w = sqrt(F)/2.
+    Classic fixed-step fourth-order Runge-Kutta: n_full steps of length dt,
+    then one partial step that lands on phi_end when the span is not a whole
+    number of steps.  Returns every state as a :class:`GeodesicTrajectory`:
+    the initial one, the state after k = 1..n_full steps at phi + k dt, then
+    the state at phi_end after the partial step.  Each row is reached from
+    ``init`` in closed form by one call of :func:`_rk4_propagate`, nothing
+    per step.  Exact solution for comparison: x(phi) = x0 cos(w dphi) +
+    (xdot0 / w) sin(w dphi) with w = sqrt(F)/2.
     """
-    return _rk4_to_stops(init, fisher_const, [phi_end], dt, rows=True)
+    x, v, (n_full,), (h,) = _rk4_schedule(init, fisher_const, [phi_end], dt)
+    phi, k = float(init.phi), np.arange(1.0, n_full + 1.0)
+    tail = 1 if h > 0 else 0  # the row after the partial step
+    phis = np.concatenate(([phi], phi + k * dt, [float(phi_end)] * tail))
+    steps = np.concatenate(([0.0], k, [n_full] * tail))
+    partial_h = np.concatenate((np.zeros(k.size + 1), [h] * tail))
+    xs, vs = _rk4_propagate(x, v, fisher_const, dt, steps, partial_h)
+    for array in (phis, xs, vs):
+        array.flags.writeable = False
+    return GeodesicTrajectory(phis, xs, vs)
 
 
-def _rk4_to_stops(
-    init: GeodesicState, fisher_const: float, stops, dt: float, rows: bool = False
-) -> GeodesicTrajectory:
-    """The RK4 propagator of :func:`integrate_geodesic`, run through each of
-    the increasing ``stops`` in turn.
-
-    For this linear system one RK4 step of length h is the degree-4 Taylor
-    propagator: with w = sqrt(F)/2 and z = w^2 h^2 it multiplies
-    w x + i xdot by lambda(h) = (1 - z/2 + z^2/24) - i w h (1 - z/6).  A
-    segment of n steps of dt and a partial step h' therefore turns each
-    (x, xdot) pair by n arg lambda(dt) + arg lambda(h') and scales it by
-    exp(n log|lambda(dt)| + log|lambda(h')|), a few float operations per
-    stop however many steps the segment holds.  The angles and the log
-    moduli are summed and the sum applied in the increment form of a step;
-    multiplying by a rounded lambda^n would repeat its rounding in every
-    segment (1e-12 after the 6 433 segments of ``geodesic-check 2**26``,
-    against 1e-14 this way).
-
-    Each segment is advanced, and its start state checked, exactly as by a
-    separate ``integrate_geodesic(state, fisher_const, stop, dt)`` call
-    from the last state of the previous one, whose phi is the stop after a
-    partial step and ``phi + n_full * dt`` otherwise.  Returns the initial
-    state followed by the state at each stop, or by the state after every
-    step when ``rows`` is true.
+def _rk4_schedule(init: GeodesicState, fisher_const: float, ends, dt: float):
+    """Check an integration from ``init`` to each of ``ends``, once, and
+    return x and xdot as float arrays with each end's step schedule (n, h):
+    n whole steps of dt, then a partial step h that lands on the end, or
+    h = 0 when the end lies within 1e-12 max(1, span) of n steps.  Each end
+    is scheduled from the start, exactly as ``integrate_geodesic(init,
+    fisher_const, end, dt)`` schedules it, so :func:`_rk4_propagate` of the
+    result holds that call's last state for every end.
     """
     if not math.isfinite(dt) or dt <= 0:
         raise ValueError(f"dt must be positive and finite, got {dt}")
@@ -294,7 +289,38 @@ def _rk4_to_stops(
     if x.ndim != 1 or x.shape != v.shape:
         raise ValueError(f"x and xdot must be vectors of one length, got shapes "
                          f"{x.shape} and {v.shape}")
+    phi, ends = float(init.phi), np.asarray(ends, dtype=np.float64)
+    if not (np.isfinite(x).all() and np.isfinite(v).all() and math.isfinite(phi)
+            and np.isfinite(ends).all()):
+        raise ValueError("non-finite input to geodesic integrator")
+    if abs(float(np.dot(x, x)) - 1.0) > 1e-8:
+        raise ValueError("initial amplitudes must satisfy sum x^2 = 1")
+    if abs(float(np.dot(x, v))) > 1e-8:
+        raise ValueError("initial velocity must be tangent: sum x*xdot = 0")
+    if (ends < phi).any():
+        raise ValueError("phi_end must be >= the initial phi")
+    span = ends - phi
+    n_full = np.floor(span / dt + 1e-9)
+    remainder = span - n_full * dt
+    partial = remainder > 1e-12 * np.maximum(1.0, span)
+    return x, v, n_full, np.where(partial, remainder, 0.0)
 
+
+def _rk4_propagate(x: np.ndarray, v: np.ndarray, fisher_const: float, dt: float,
+                   n: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The RK4 states (x, xdot) after n[j] steps of dt and then one step of
+    h[j] from (x, v), one row per j; h = 0 takes no partial step, and
+    n = h = 0 gives (x, v) itself, signed zeros included.
+
+    For this linear system one RK4 step of length h is the degree-4 Taylor
+    propagator: with w = sqrt(F)/2 and z = w^2 h^2 it multiplies w x + i xdot
+    by lambda(h) = (1 - z/2 + z^2/24) - i w h (1 - z/6).  So n steps of dt
+    and one of h turn each (x, xdot) pair by n arg lambda(dt) + arg lambda(h)
+    and scale it by exp(n log|lambda(dt)| + log|lambda(h)|), a few float
+    operations per row however many steps it stands for.  The angles and
+    log moduli are summed and the sum applied in the increment form of a
+    step, x' = x + (s v - a x), v' = v - (a v + w x).
+    """
     omega_sq = fisher_const / 4.0
     omega = math.sqrt(omega_sq)
 
@@ -302,86 +328,20 @@ def _rk4_to_stops(
         """arg lambda(h) and log|lambda(h)|.  |lambda|^2 is exactly
         1 + z^3 (z - 8) / 576, so log1p takes the log without a rounded 1."""
         z = omega_sq * h * h
-        return (math.atan2(omega * h * (1.0 - z / 6.0), 1.0 - (z / 2.0 - z * z / 24.0)),
-                0.5 * math.log1p(z * z * z * (z - 8.0) / 576.0))
+        return (np.arctan2(omega * h * (1.0 - z / 6.0), 1.0 - (z / 2.0 - z * z / 24.0)),
+                0.5 * np.log1p(z * z * z * (z - 8.0) / 576.0))
 
-    def propagator(turn, log_scale, m=math):
-        """Coefficients of the turn by ``turn`` scaled by exp(log_scale), in
-        the increment form x' = x + (s v - a x), v' = v - (a v + w x).  With
-        t = tan(turn / 2) and e = expm1(log_scale), sin(turn) is
-        2t / (1 + t^2) and a = 1 - (1 + e) cos(turn) is (1 + e) 2t^2 / (1 + t^2)
-        - e, so no coefficient is rounded near 1.  With m = numpy it takes
-        arrays of turns, one row of coefficients each."""
-        t, e = m.tan(turn / 2.0), m.expm1(log_scale)
-        sine = (1.0 + e) * 2.0 * t / (1.0 + t * t)
-        return sine / omega, sine * t - e, omega * sine
-
-    # Coordinates whose (x, v) bits agree follow the same trajectory, so
-    # each distinct pair is advanced once (a search state has two, whatever
-    # N), and the entry checks weigh it by its count.
-    slots: dict[tuple[int, int], int] = {}
-    inverse = [slots.setdefault(key, len(slots))
-               for key in zip(x.view(np.int64).tolist(), v.view(np.int64).tolist())]
-    counts = np.bincount(inverse).tolist()
-    xs, vs = np.array(list(slots), dtype=np.int64).reshape(-1, 2).view(np.float64).T.tolist()
-    x_rows, v_rows = list(xs), list(vs)  # row-major, one value per slot
-    phi = float(init.phi)
-    phis = [phi]
-    turn_dt, log_scale_dt = step_polar(dt)
-    for stop in stops:
-        stop = float(stop)
-        norm = tangency = 0.0
-        for count, xi, vi in zip(counts, xs, vs):
-            norm += count * xi * xi
-            tangency += count * xi * vi
-        # A non-finite x or xdot makes a sum non-finite (x^2 >= 0 adds no
-        # cancelling term, and x * xdot is nan at x = 0), so the elements
-        # are checked only when the sums and phis do not add to a finite
-        # value; a finite sum that overflows just runs the checks.
-        if not math.isfinite(norm + tangency + phi + stop) and not (
-                all(map(math.isfinite, xs)) and all(map(math.isfinite, vs))
-                and math.isfinite(phi) and math.isfinite(stop)):
-            raise ValueError("non-finite input to geodesic integrator")
-        if abs(norm - 1.0) > 1e-8:
-            raise ValueError("initial amplitudes must satisfy sum x^2 = 1")
-        if abs(tangency) > 1e-8:
-            raise ValueError("initial velocity must be tangent: sum x*xdot = 0")
-        if stop < phi:
-            raise ValueError("phi_end must be >= the initial phi")
-
-        span = stop - phi
-        n_full = math.floor(span / dt + 1e-9)
-        remainder = span - n_full * dt
-        partial = remainder > 1e-12 * max(1.0, span)
-        inner = n_full if partial else n_full - 1  # rows before the stop's own
-        if rows and inner > 0:  # the rows after k = 1..inner steps, from this start
-            k = np.arange(1, inner + 1)
-            s, a, w = (c[:, np.newaxis] for c in
-                       propagator(k * turn_dt, k * log_scale_dt, np))
-            x0, v0 = np.array(xs), np.array(vs)
-            x_rows.extend((x0 + (s * v0 - a * x0)).ravel().tolist())
-            v_rows.extend((v0 - (a * v0 + w * x0)).ravel().tolist())
-            phis.extend((phi + k * dt).tolist())  # phi + k * dt, not a running sum
-        if partial or n_full:  # with no step, x, v and phi stay as they were
-            turn, log_scale = n_full * turn_dt, n_full * log_scale_dt
-            if partial:
-                turn_h, log_scale_h = step_polar(remainder)
-                turn, log_scale = turn + turn_h, log_scale + log_scale_h
-            s, a, w = propagator(turn, log_scale)
-            for slot, (xi, vi) in enumerate(zip(xs, vs)):
-                xs[slot], vs[slot] = xi + (s * vi - a * xi), vi - (a * vi + w * xi)
-            phi = stop if partial else phi + n_full * dt
-        if partial or n_full or not rows:
-            x_rows.extend(xs)
-            v_rows.extend(vs)
-            phis.append(phi)
-
-    phis = np.array(phis)
-    x_rows = np.array(x_rows).reshape(phis.size, len(slots)).take(inverse, axis=1)
-    v_rows = np.array(v_rows).reshape(phis.size, len(slots)).take(inverse, axis=1)
-    for array in (phis, x_rows, v_rows):
-        array.flags.writeable = False
-    return GeodesicTrajectory(phis, x_rows, v_rows)
+    (turn_dt, log_scale_dt), (turn_h, log_scale_h) = step_polar(dt), step_polar(h)
+    # With t = tan(turn / 2) and e = expm1(log_scale), sin(turn) is
+    # 2t / (1 + t^2) and a = 1 - (1 + e) cos(turn) is (1 + e) 2t^2 / (1 + t^2)
+    # - e, so no coefficient is rounded near 1.
+    t = np.tan((n * turn_dt + turn_h) / 2.0)
+    e = np.expm1(n * log_scale_dt + log_scale_h)
+    sine = (1.0 + e) * 2.0 * t / (1.0 + t * t)
+    s, a, w = (c[:, np.newaxis] for c in (sine / omega, sine * t - e, omega * sine))
+    still = ((n == 0) & (h == 0))[:, np.newaxis]  # x + 0.0 would turn -0.0 into 0.0
+    return (np.where(still, x, x + (s * v - a * x)),
+            np.where(still, v, v - (a * v + w * x)))
 
 
 def input_information(path: ProbabilityPath, phi0: float) -> float:

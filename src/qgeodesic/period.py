@@ -482,9 +482,11 @@ def _prime_power_base(n: int) -> int | None:
 
     n = p^e exactly when n = r^k for some prime k dividing e, and then
     r = p^(e/k) is p or again a power of p.  So only prime exponents k are
-    tried, and a root that is not prime is searched in turn.  A prime of
+    tried, and a root is searched in turn before it is tested for primality,
+    so the Miller-Rabin test runs only on the base.  A prime of
     :data:`_WITNESSES` that divides n is the only candidate for p, so n is
-    then compared with its powers and no root is taken.
+    then compared with its powers and no root is taken.  Otherwise p >= 43
+    and n >= 43^k > 2^(5k), so no exponent beyond bits // 5 can divide e.
     """
     for p in _WITNESSES:
         if n % p == 0:
@@ -492,11 +494,11 @@ def _prime_power_base(n: int) -> int | None:
             while power < n:
                 power *= p
             return p if power == n else None
-    for k in range(2, n.bit_length() + 1):
+    for k in range(2, n.bit_length() // 5 + 1):
         if _is_prime(k):
             root = _integer_root(n, k)
             if root**k == n:
-                return root if _is_prime(root) else _prime_power_base(root)
+                return _prime_power_base(root) or (root if _is_prime(root) else None)
     return None
 
 
@@ -506,10 +508,10 @@ def classify_modulus(n: int) -> str:
         return "too-small"
     if n % 2 == 0:
         return "even"
+    if _prime_power_base(n) is not None:  # before the costlier primality test
+        return "prime-power"
     if _is_prime(n):
         return "prime"
-    if _prime_power_base(n) is not None:
-        return "prime-power"
     return "ok"
 
 

@@ -221,19 +221,20 @@ class TestGeodesicCheck:
     @pytest.mark.parametrize("n_items", [2, 3, 4, 1024, 8192, 2**26])
     def test_integrator_errors_at_scale(self, capsys, n_items):
         # far inside the 1e-6 tolerance, and tight enough to see a rounding
-        # repeated in each of the 6 433 segments at N = 2^26, where
-        # multiplying by one rounded lambda^n per segment drifted to 1e-12
+        # repeated from one target to the next: at N = 2^26, chaining the
+        # 6 434 segments between its 6 435 targets and multiplying by one
+        # rounded lambda^n per segment drifted to 1e-12
         assert run(["geodesic-check", str(n_items)]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["dt"] == 1e-4
         for name in ("integrator_vs_simulation", "integrator_vs_analytic"):
             assert report["checks"][name]["max_abs_error"] <= 5e-13
 
-    def test_one_state_per_segment(self, monkeypatch, capsys):
+    def test_builds_one_state(self, monkeypatch, capsys):
         # N = 8192: the targets of recursion steps 0..70 plus the final
-        # pi/2 make 72 segments, each about 217 RK4 steps long; the command
-        # builds the initial state and reads the last state of each
-        # segment, which the kernel reaches in closed form, nothing per step.
+        # pi/2 are 72 targets, each about 217 RK4 steps after the one
+        # before; the command builds only the start state and reads each
+        # target's state off the propagator's arrays.
         built = []
         init = GeodesicState.__init__
 
@@ -244,30 +245,38 @@ class TestGeodesicCheck:
         monkeypatch.setattr(GeodesicState, "__init__", counting)
         assert run(["geodesic-check", "8192"]) == 0
         capsys.readouterr()
-        assert 0 < len(built) <= 72 + 1
+        assert len(built) == 1
 
     def test_one_kernel_pass_and_no_integrator_calls(self, monkeypatch, capsys):
-        # N = 8192: the 72 segment ends are the stops of one kernel pass
-        # that records no rows; integrate_geodesic, whose every call would
-        # also run the kernel, is never called
-        kernel_calls, integrator_calls = [], []
-        kernel, integrate = geometry._rk4_to_stops, geometry.integrate_geodesic
+        # N = 8192: the 72 targets are the ends of one schedule and one
+        # propagator call, each reached from the start state;
+        # integrate_geodesic, which builds every row up to its end, is
+        # never called
+        schedule_calls, propagator_calls, integrator_calls = [], [], []
+        schedule = geometry._rk4_schedule
+        propagate, integrate = geometry._rk4_propagate, geometry.integrate_geodesic
 
-        def counting_kernel(init, fisher_const, stops, dt, rows=False):
-            kernel_calls.append((len(stops), rows))
-            return kernel(init, fisher_const, stops, dt, rows)
+        def counting_schedule(init, fisher_const, ends, dt):
+            schedule_calls.append(len(ends))
+            return schedule(init, fisher_const, ends, dt)
+
+        def counting_propagator(x, v, fisher_const, dt, n, h):
+            propagator_calls.append((len(n), len(h)))
+            return propagate(x, v, fisher_const, dt, n, h)
 
         def counting_integrator(*args):
             integrator_calls.append(args)
             return integrate(*args)
 
         for module in (geometry, cli):
-            monkeypatch.setattr(module, "_rk4_to_stops", counting_kernel)
+            monkeypatch.setattr(module, "_rk4_schedule", counting_schedule)
+            monkeypatch.setattr(module, "_rk4_propagate", counting_propagator)
             monkeypatch.setattr(module, "integrate_geodesic", counting_integrator,
                                 raising=False)
         assert run(["geodesic-check", "8192"]) == 0
         capsys.readouterr()
-        assert kernel_calls == [(72, False)]
+        assert schedule_calls == [72]
+        assert propagator_calls == [(72, 72)]
         assert integrator_calls == []
 
 

@@ -30,7 +30,7 @@ from qgeodesic import (
     run_grover,
     unitarity_identity_check,
 )
-from qgeodesic.geometry import _residuals, _rk4_to_stops
+from qgeodesic.geometry import _residuals, _rk4_propagate, _rk4_schedule
 
 
 def grover_fine_path(n, dphi=0.01, lo=None, hi=np.pi / 2):
@@ -392,7 +392,7 @@ class TestGeodesicResidual:
 def tied_state(dim, ties, seed):
     """A random unit x and a tangent v.  "tied" repeats the first (x, v)
     pair over every other coordinate; "signed zeros" puts 0.0 and -0.0 side
-    by side, which a shared trajectory must not merge."""
+    by side, which must keep their signs."""
     rng = np.random.default_rng(seed)
     x, v = rng.normal(size=dim), rng.normal(size=dim)
     if ties == "tied":
@@ -402,19 +402,6 @@ def tied_state(dim, ties, seed):
     x /= np.linalg.norm(x)
     v -= np.dot(v, x) * x  # tangent
     return x, v, float(rng.uniform(-1.0, 1.0))
-
-
-def chained_calls(init, fisher_const, stops, dt):
-    """One integrate_geodesic call per stop, each from the last state of the
-    call before; returns the trajectories, or the first call's ValueError."""
-    trajectories, state = [], init
-    for stop in stops:
-        try:
-            trajectories.append(integrate_geodesic(state, fisher_const, stop, dt))
-        except ValueError as exc:
-            return exc
-        state = trajectories[-1][-1]
-    return trajectories
 
 
 class TestIntegrateGeodesic:
@@ -523,53 +510,42 @@ class TestIntegrateGeodesic:
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(1, 8), st.floats(0.1, 8.0), st.floats(1e-3, 0.02),
-           st.lists(st.one_of(st.integers(0, 40), st.floats(0.0, 0.3)), max_size=8),
+           st.lists(st.one_of(st.integers(-1, 40), st.floats(0.0, 0.3)), max_size=8),
            st.sampled_from(["distinct", "tied", "signed zeros"]),
            st.integers(0, 2**32 - 1))
-    @example(dim=4, fisher_const=4.0, dt=1e-3, segments=[0, 0.0105, 0, 7, 0, 0.0, 3],
+    @example(dim=4, fisher_const=4.0, dt=1e-3, offsets=[0, 0.0105, 0, 7, 0, 0.0, 3],
              ties="tied", seed=1)
-    @example(dim=8, fisher_const=4.0, dt=1e-2, segments=[5, 5, 0.0, 12, 0.333],
+    @example(dim=8, fisher_const=4.0, dt=1e-2, offsets=[5, 5, 0.0, 12, 0.333],
              ties="tied", seed=2)
-    @example(dim=5, fisher_const=1.0, dt=4e-3, segments=[0.017, 0, 0, 2, 0.0401],
+    @example(dim=5, fisher_const=1.0, dt=4e-3, offsets=[0.017, 0, 0, 2, 0.0401],
              ties="signed zeros", seed=3)
-    @example(dim=2, fisher_const=1.0, dt=0.015625, segments=[], ties="tied", seed=0)
-    def test_stops_equal_chained_calls(self, dim, fisher_const, dt, segments, ties, seed):
-        """Bit for bit, errors included: the kernel's state at each stop is
-        the last state of a chain of integrate_geodesic calls, and its rows
-        are the chain's rows.  An integer segment is that many whole steps
-        of dt, so 0 is a zero-length segment and a positive one lands on
-        the grid; a float segment mostly ends in a partial step."""
+    @example(dim=2, fisher_const=1.0, dt=0.015625, offsets=[], ties="tied", seed=0)
+    def test_ends_equal_integrator_calls(self, dim, fisher_const, dt, offsets, ties, seed):
+        """Bit for bit, errors included: the propagated state at each end,
+        all ends scheduled and checked in one call, is the last state of
+        integrate_geodesic(init, F, end, dt).  An integer offset is that many
+        whole steps of dt from the start, so 0 is a zero span, a positive one
+        lands on the grid and -1 ends before the start; a float offset mostly
+        ends in a partial step."""
         x, v, phi0 = tied_state(dim, ties, seed)
-        speed = np.linalg.norm(v)
-        if speed > 0:
-            v *= np.sqrt(fisher_const) / 2 / speed  # on the sphere: a geodesic
         init = GeodesicState(x, v, phi0)
-        stops, stop = [], phi0
-        for segment in segments:
-            stop += segment * dt if isinstance(segment, int) else segment
-            stops.append(stop)
-
-        chain = chained_calls(init, fisher_const, stops, dt)
-        if isinstance(chain, ValueError):
-            for rows in (False, True):
-                with pytest.raises(ValueError, match=re.escape(str(chain))):
-                    _rk4_to_stops(init, fisher_const, stops, dt, rows=rows)
+        ends = [phi0 + (offset * dt if isinstance(offset, int) else offset)
+                for offset in offsets]
+        lasts, errors = [], []
+        for end in ends:
+            try:
+                lasts.append(integrate_geodesic(init, fisher_const, end, dt)[-1])
+            except ValueError as exc:
+                errors.append(str(exc))
+        if errors:
+            with pytest.raises(ValueError, match=re.escape(errors[0])):
+                _rk4_schedule(init, fisher_const, ends, dt)
             return
-        at_stops = _rk4_to_stops(init, fisher_const, stops, dt)
-        assert len(at_stops) == len(stops) + 1
-        first, *ends = [init] + [trajectory[-1] for trajectory in chain]
-        assert at_stops.phis.tolist() == [first.phi] + [end.phi for end in ends]
-        assert at_stops.x.tobytes() == np.array([first.x] + [end.x for end in ends]).tobytes()
-        assert at_stops.xdot.tobytes() == \
-            np.array([first.xdot] + [end.xdot for end in ends]).tobytes()
-
-        # The rows start at init itself: with no stops the chain makes no
-        # call, and init need not pass a call's entry checks.
-        every_row = _rk4_to_stops(init, fisher_const, stops, dt, rows=True)
-        for name, start in (("phis", init.phi), ("x", init.x), ("xdot", init.xdot)):
-            joined = np.concatenate([np.array([start])]
-                                    + [getattr(piece, name)[1:] for piece in chain])
-            assert getattr(every_row, name).tobytes() == joined.tobytes()
+        x, v, n, h = _rk4_schedule(init, fisher_const, ends, dt)
+        xs, vs = _rk4_propagate(x, v, fisher_const, dt, n, h)
+        assert xs.shape == vs.shape == (len(ends), dim)
+        assert xs.tobytes() == b"".join(last.x.tobytes() for last in lasts)
+        assert vs.tobytes() == b"".join(last.xdot.tobytes() for last in lasts)
 
     def test_trajectory_contract(self):
         init = self.grover_initial(6)

@@ -1036,6 +1036,33 @@ class TestFactor:
         assert classify_modulus(3 * 7**5000) == "ok"
         assert time.perf_counter() - start < 1.0
 
+    @pytest.mark.parametrize("n,kind", [
+        (43**3000, "prime-power"), (47**300 * 53, "ok"), (2**127 - 1, "prime")],
+        ids=["43^3000", "47^300*53", "2^127-1"])
+    def test_no_witness_factor_tests_only_the_base(self, monkeypatch, n, kind):
+        # 43^3000 (16 280 bits): Miller-Rabin on n itself took 9 s, and on
+        # each root as long; with no witness factor the base is at least 43,
+        # so n >= 43^k bounds every exponent k by bits // 5
+        tested, roots = [], []
+        is_prime, integer_root = period._is_prime, period._integer_root
+
+        def recording_is_prime(m):
+            tested.append(m)
+            return is_prime(m)
+
+        def recording_root(m, k):
+            roots.append((m.bit_length(), k))
+            return integer_root(m, k)
+
+        monkeypatch.setattr(period, "_is_prime", recording_is_prime)
+        monkeypatch.setattr(period, "_integer_root", recording_root)
+        assert classify_modulus(n) == kind
+        assert all(k <= bits // 5 for bits, k in roots)
+        if kind == "prime-power":
+            assert max(tested) == 43
+        else:
+            assert max(tested) == n
+
     def test_classify_beyond_float_range(self):
         assert classify_modulus(7**500) == "prime-power"
         assert classify_modulus(3 * 7**500) == "ok"
