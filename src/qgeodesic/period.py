@@ -5,9 +5,9 @@ Two period finders share the same number-theoretic post-processing:
 * ``shor_period`` measures the second register of the two-register state
   sum_a |a>|y^a mod N>, Fourier-transforms the first register, and
   extracts the period from the measured frequency by continued fractions.
-  It holds only the one q-long column the projection leaves nonzero;
-  ``build_register`` and ``shor_project`` keep the dense pair state as the
-  reference.
+  It draws the frequency from the closed-form readout distribution of the
+  one column the projection leaves nonzero, with no FFT; ``build_register``
+  and ``shor_project`` keep the dense pair state as the reference.
 
 * ``grover_period`` amplifies the arguments a with y^a = y (mod N) by
   running amplitude amplification over the first register, samples the
@@ -84,6 +84,7 @@ class PeriodInstance:
     modulus: int
     base: int
     register_size: int = field(init=False)
+    _frequency: tuple = field(init=False, repr=False, compare=False, default=(0, None))
 
     def __post_init__(self):
         n, y = self.modulus, self.base
@@ -99,9 +100,9 @@ class PeriodInstance:
     def orbit(self) -> np.ndarray:
         """y^j mod N for j in [0, r), r the order of y, read-only, built on
         first use.  f(a) = y^a mod N is orbit[a % r], so the commands read
-        the marginal, the projected column and the marked set off these r
-        values.  The walk takes r < N Python steps: under 8 192 for any
-        modulus whose register fits the default cap."""
+        the marginal, the projected column's size and the marked set off
+        these r values.  The walk takes r < N Python steps: under 8 192 for
+        any modulus whose register fits the default cap."""
         n, y = self.modulus, self.base
         values = [1]
         value = y
@@ -120,6 +121,20 @@ class PeriodInstance:
         cdf = _readout_cdf(_value_marginal(self))
         cdf.flags.writeable = False
         return cdf
+
+    def frequency_cdf(self, value: int) -> np.ndarray:
+        """The CDF that :func:`shor_sample` draws the frequency from after
+        the function register reads ``value`` = y^j, read-only.  It depends
+        only on m = (q - 1 - j) // r + 1, which takes two values per
+        instance, so the instance holds the last one built, keyed by m."""
+        q, orbit = self.register_size, self.orbit
+        r = orbit.size
+        m = (q - 1 - int(np.flatnonzero(orbit == value)[0])) // r + 1
+        if self._frequency[0] != m:
+            cdf = _frequency_cdf(q, r, m)
+            cdf.flags.writeable = False
+            object.__setattr__(self, "_frequency", (m, cdf))
+        return self._frequency[1]
 
     @functools.cached_property
     def table(self) -> np.ndarray:
@@ -228,17 +243,6 @@ def _value_marginal(inst: PeriodInstance) -> np.ndarray:
     return marginal / marginal.sum()
 
 
-def _projected_column(inst: PeriodInstance, value: int) -> np.ndarray:
-    """The argument register after the function register reads ``value`` =
-    y^j: uniform on the progression a = j, j + r, ... below q."""
-    orbit = inst.orbit
-    j = orbit.tolist().index(value)
-    amps = np.zeros(inst.register_size, dtype=np.complex128)
-    support = amps[j::orbit.size]
-    support[:] = 1.0 / np.sqrt(support.size)
-    return amps
-
-
 def _readout_cdf(p: np.ndarray) -> np.ndarray:
     """The cumulative sums that ``Generator.choice(p.size, p=p)`` draws from
     (numpy 2.4.6 builds ``p.cumsum()`` and divides it by its last entry),
@@ -256,6 +260,43 @@ def _draw(cdf: np.ndarray, rng: np.random.Generator) -> int:
     index and generator state are those of ``rng.choice(cdf.size, p=p)``."""
     total = cdf[-1]
     return bisect.bisect_right(cdf, rng.random(), key=lambda c: c / total)
+
+
+_CHUNK = 1 << 14  # readouts per pass of _frequency_cdf's fill
+
+
+def _frequency_cdf(q: int, r: int, m: int) -> np.ndarray:
+    """The undivided cumulative sums, as :func:`_readout_cdf` leaves them,
+    of qft's readout distribution for a column uniform on the m arguments
+    a = j (mod r) below q: the Dirichlet kernel p[k] = sin^2(pi m x / q) /
+    (q m sin^2(pi x / q)), x = r k mod q, and m / q where x = 0 (Shor,
+    quant-ph/9508027, section 5).  With g = gcd(r, q), x / q = t / q' for
+    q' = q / g and t = (r / g) k mod q'; r / g is odd, so x = 0 only at
+    k = 0 (mod q'), p repeats every q' readouts and p[q' - k] = p[k].  Only
+    k in [1, q' / 2] is evaluated, in chunks: t and m t mod q' exactly in
+    int64 (products below q^2 <= 2^52), folded onto one table of
+    sin^2(pi i / q') for i <= q' / 2."""
+    g = math.gcd(r, q)
+    period = q // g
+    half = period // 2
+    stride = r // g
+    steps = np.array([[m * stride % period], [stride]])  # m t and t per step of k
+    sines = np.sin(np.arange(half + 1) * (np.pi / period)) ** 2
+    p = np.empty(q)
+    p[0] = m / q
+    for start in range(1, half + 1, _CHUNK):
+        angles = steps * np.arange(start, min(start + _CHUNK, half + 1))
+        angles &= period - 1
+        np.minimum(angles, period - angles, out=angles)  # folded onto i <= q' / 2
+        above, below = sines[angles]
+        below *= q * m
+        np.divide(above, below, out=p[start:start + below.size])
+    p[half + 1:period] = p[half - 1:0:-1]
+    p.reshape(g, period)[1:] = p[:period]
+    total = p.sum()
+    require_normalized(float(total))
+    p /= total
+    return _readout_cdf(p)
 
 
 def _amplified_readouts(inst: PeriodInstance, k: float, l: float, uniforms) -> list[int]:
@@ -322,29 +363,19 @@ def shor_sample(
     """One projection + transform attempt: returns (function value l,
     measured frequency c).
 
-    Measures the function register, then Fourier-samples the argument
-    register, on the one column of the pair state that the projection
-    leaves nonzero (Shor, quant-ph/9508027, section 5).  Makes the same
-    draws from ``rng`` as ``build_register`` -> ``shor_project`` -> ``qft``
-    -> ``measure_register``, with probabilities equal up to rounding, from q
-    amplitudes instead of q*N.
+    Measures the function register, then Fourier-samples the one column of
+    the pair state that the projection leaves nonzero, from the closed form
+    of its readout distribution (:meth:`PeriodInstance.frequency_cdf`).
+    Makes the same draws from ``rng`` as ``build_register`` ->
+    ``shor_project`` -> ``qft`` -> ``measure_register``, with probabilities
+    equal up to rounding, with no column and no FFT.
 
     Raises :class:`ResourceLimitError` if the q amplitudes of the argument
     register exceed ``memory_cap``.
     """
     require_amplitudes(inst.register_size, memory_cap, "register")
     l = _draw(inst.value_cdf, rng)
-    amps = _projected_column(inst, l)
-    # The readout distribution of measure_register, without its collapse:
-    # qft's transform, taken in place, |c|^2 normalised in place, and its
-    # cumulative sums built in place.
-    p = np.abs(np.fft.ifft(amps, norm="ortho", out=amps))
-    np.square(p, out=p)
-    total = p.sum()
-    require_normalized(float(total))
-    p /= total
-    c = _draw(_readout_cdf(p), rng)
-    return l, c
+    return l, _draw(inst.frequency_cdf(l), rng)
 
 
 def shor_period(

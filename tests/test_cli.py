@@ -28,6 +28,7 @@ from qgeodesic import (
     action,
     cli,
     compare_methods,
+    default_register_size,
     factor,
     geometry,
 )
@@ -716,9 +717,10 @@ class TestAllocationCaps:
         return peak / ((1 << 20) * 16)
 
     def test_compare_peak_is_a_few_registers(self, capsys):
-        # the Shor readout holds the complex column and its float distribution
+        # the Shor readout holds the float distribution and its half-period
+        # sin^2 table, with no complex column
         registers = self.peak_in_registers(["compare", "1023", "1022", "--seed", "1"], capsys)
-        assert registers <= 1.75, f"peak {registers:.2f} registers"
+        assert registers <= 1.0, f"peak {registers:.2f} registers"
 
     def test_amplified_factor_peak_is_under_a_register(self, capsys):
         # the amplified readouts are drawn from two amplitudes, with no
@@ -741,6 +743,58 @@ class TestAllocationCaps:
     def test_class_paths_fit_where_item_paths_did_not(self, args, capsys):
         # trajectories and resampled paths are charged 2 cells per row, not N or q
         assert run(args) == 0
+        assert capsys.readouterr().err == ""
+
+
+class TestResidentPeak:
+    """The period commands' real peak, as the OS counts it, stays under their
+    charge: in a fresh process, ru_maxrss grows over a tiny-q run of the same
+    command by at most 16 B per amplitude of the largest charge (the q of the
+    argument register) plus ALLOWANCE for the interpreter.  tracemalloc
+    cannot bound this, since it misses memory that native code allocates
+    outside Python's allocator."""
+
+    ALLOWANCE = 8 << 20  # bytes: the interpreter's own heap growth and slack
+
+    @staticmethod
+    def maxrss(args):
+        script = ("import contextlib, io, resource, sys\n"
+                  "from qgeodesic import cli\n"
+                  "with contextlib.redirect_stdout(io.StringIO()):\n"
+                  "    code = cli.main(sys.argv[1:])\n"
+                  "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", script, *args], capture_output=True,
+                              text=True, env=env, check=True, timeout=120)
+        code, kib = map(int, proc.stdout.split())  # Linux counts ru_maxrss in KiB
+        assert code == 0, proc.stderr
+        return kib << 10
+
+    @pytest.mark.parametrize("command", [
+        lambda n, y: ["factor", n, "--method", "shor", "--seed", "1"],
+        lambda n, y: ["factor", n, "--method", "grover-adiabatic", "--seed", "1"],
+        lambda n, y: ["compare", n, y, "--seed", "1"],
+    ], ids=["factor-shor", "factor-grover-adiabatic", "compare"])
+    def test_growth_is_under_the_charge(self, command):
+        tiny = self.maxrss(command("15", "2"))  # q = 2^8
+        for n, y in (("187", "2"), ("1023", "1022"), ("2047", "2")):  # q = 2^16, 2^20, 2^22
+            charge = 16 * default_register_size(int(n))
+            growth = self.maxrss(command(n, y)) - tiny
+            assert growth <= charge + self.ALLOWANCE, (
+                f"{command(n, y)}: grew {growth / 2**20:.1f} MiB, charge {charge / 2**20:.0f} MiB")
+
+
+class TestNoFft:
+    def test_no_command_reaches_the_fft(self, monkeypatch, capsys):
+        def refused(*args, **kwargs):
+            raise AssertionError("a command reached np.fft")
+
+        for name in ("fft", "ifft"):
+            monkeypatch.setattr(np.fft, name, refused)
+        assert run(["compare", "143", "2", "--seed", "1"]) == 0
+        assert run(["factor", "91", "--method", "shor", "--seed", "3"]) == 0
         assert capsys.readouterr().err == ""
 
 
