@@ -84,7 +84,6 @@ class PeriodInstance:
     modulus: int
     base: int
     register_size: int = field(init=False)
-    _frequency: tuple = field(init=False, repr=False, compare=False, default=(0, None))
 
     def __post_init__(self):
         n, y = self.modulus, self.base
@@ -121,20 +120,6 @@ class PeriodInstance:
         cdf = _readout_cdf(_value_marginal(self))
         cdf.flags.writeable = False
         return cdf
-
-    def frequency_cdf(self, value: int) -> np.ndarray:
-        """The CDF that :func:`shor_sample` draws the frequency from after
-        the function register reads ``value`` = y^j, read-only.  It depends
-        only on m = (q - 1 - j) // r + 1, which takes two values per
-        instance, so the instance holds the last one built, keyed by m."""
-        q, orbit = self.register_size, self.orbit
-        r = orbit.size
-        m = (q - 1 - int(np.flatnonzero(orbit == value)[0])) // r + 1
-        if self._frequency[0] != m:
-            cdf = _frequency_cdf(q, r, m)
-            cdf.flags.writeable = False
-            object.__setattr__(self, "_frequency", (m, cdf))
-        return self._frequency[1]
 
     @functools.cached_property
     def table(self) -> np.ndarray:
@@ -365,17 +350,19 @@ def shor_sample(
 
     Measures the function register, then Fourier-samples the one column of
     the pair state that the projection leaves nonzero, from the closed form
-    of its readout distribution (:meth:`PeriodInstance.frequency_cdf`).
-    Makes the same draws from ``rng`` as ``build_register`` ->
-    ``shor_project`` -> ``qft`` -> ``measure_register``, with probabilities
-    equal up to rounding, with no column and no FFT.
+    of its readout distribution (:func:`_frequency_cdf`).  Makes the same
+    draws from ``rng`` as ``build_register`` -> ``shor_project`` -> ``qft``
+    -> ``measure_register``, with probabilities equal up to rounding, with
+    no column and no FFT.
 
     Raises :class:`ResourceLimitError` if the q amplitudes of the argument
     register exceed ``memory_cap``.
     """
     require_amplitudes(inst.register_size, memory_cap, "register")
     l = _draw(inst.value_cdf, rng)
-    return l, _draw(inst.frequency_cdf(l), rng)
+    q, orbit = inst.register_size, inst.orbit
+    m = (q - 1 - orbit.tolist().index(l)) // orbit.size + 1  # arguments a = j (mod r) below q
+    return l, _draw(_frequency_cdf(q, orbit.size, m), rng)
 
 
 def shor_period(

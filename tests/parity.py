@@ -10,7 +10,12 @@ list below twice, each time in a fresh process that imports one tree's
 ``src``: REV's, then this work tree's.  Each process runs the commands
 in-process with the runner and digests of ``test_golden.py`` (exit code,
 stdout, stderr and ``--out`` bytes).  The script prints every command whose
-digests differ and one summary line, and exits 1 if any differ.
+digests differ and one summary line, and exits 1 if any differ, except in a
+subcommand whose output the work tree changes on purpose: one that has a
+command in ``tests/golden.json`` at both REV and the work tree with a
+different digest.  Differences in such a subcommand are listed as accepted
+and do not fail the run; a golden command that is only added accepts
+nothing.
 
 The list holds the golden commands; ``factor`` N = 3..50 with both methods
 at seeds 0-3; ``compare`` over every valid base of 13 moduli up to 143 at
@@ -79,6 +84,17 @@ def side_digests(src: Path) -> tuple[dict, float]:
         return json.loads(out.read_text()), time.monotonic() - start
 
 
+def changed_subcommands(sha: str) -> set[str]:
+    """The subcommands with a golden digest that differs between ``sha``
+    and the work tree, over the commands that both record."""
+    shown = subprocess.run(["git", "show", f"{sha}:tests/golden.json"], cwd=REPO,
+                           capture_output=True, text=True)
+    theirs = json.loads(shown.stdout)["commands"] if shown.returncode == 0 else {}
+    ours = json.loads((REPO / "tests" / "golden.json").read_text())["commands"]
+    return {key.split(" ")[0] for key in ours.keys() & theirs.keys()
+            if ours[key] != theirs[key]}
+
+
 def main(rev: str) -> int:
     sha = subprocess.run(["git", "rev-parse", "--verify", f"{rev}^{{commit}}"], cwd=REPO,
                          check=True, capture_output=True, text=True).stdout.strip()
@@ -89,11 +105,14 @@ def main(rev: str) -> int:
         theirs, their_s = side_digests(Path(tree) / "src")
     ours, our_s = side_digests(REPO / "src")
     differ = [key for key in ours if ours[key] != theirs.get(key)]
+    changed = changed_subcommands(sha)
+    accepted = [key for key in differ if key.split(" ")[0] in changed]
     for key in differ:
-        print(f"differs: {key}")
+        print(f"differs{' (golden digests changed)' if key in accepted else ''}: {key}")
     print(f"parity: {len(ours)} commands, {len(differ)} differ between {rev} "
-          f"({sha[:12]}, {their_s:.0f} s) and the work tree ({our_s:.0f} s)")
-    return 1 if differ else 0
+          f"({sha[:12]}, {their_s:.0f} s) and the work tree ({our_s:.0f} s), "
+          f"{len(accepted)} of them in subcommands whose golden digests changed")
+    return 1 if len(differ) > len(accepted) else 0
 
 
 if __name__ == "__main__":

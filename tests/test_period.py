@@ -334,41 +334,6 @@ class TestValueCdf:
         assert report.methods[SHOR].attempts == 2 and builds == [inst]
 
 
-class TestFrequencyCdf:
-    """The frequency readout draws from one CDF per run of attempts with the
-    same number m of arguments in the projected column."""
-
-    def test_one_build_per_change_of_m(self, monkeypatch):
-        builds, values = [], []
-        build, sample = period._frequency_cdf, period.shor_sample
-
-        def counting(q, r, m):
-            builds.append(m)
-            return build(q, r, m)
-
-        def recording(*args, **kwargs):
-            l, c = sample(*args, **kwargs)
-            values.append(l)
-            return l, c
-
-        monkeypatch.setattr(period, "_frequency_cdf", counting)
-        monkeypatch.setattr(period, "shor_sample", recording)
-        inst = PeriodInstance(143, 108)
-        assert shor_period(inst, np.random.default_rng(1)).attempts == 7
-        sizes = [int(np.count_nonzero(inst.table == l)) for l in values]
-        assert sorted(set(sizes)) == [1092, 1093]  # q = 2^15, r = 30: both sizes
-        assert builds == [m for i, m in enumerate(sizes) if i == 0 or m != sizes[i - 1]]
-
-    def test_held_cdf_is_read_only_and_reused(self):
-        inst = PeriodInstance(143, 108)
-        first, last = (int(inst.orbit[j]) for j in (0, -1))  # m = 1093, then 1092
-        cdf = inst.frequency_cdf(first)
-        assert inst.frequency_cdf(first) is cdf
-        with pytest.raises(ValueError):
-            cdf[0] = 0.5
-        assert inst.frequency_cdf(last) is not cdf
-
-
 class TestShorSampleMatchesDense:
     @pytest.mark.parametrize("n", FACTORABLE)
     def test_seeded_draws_over_sweep(self, n):
@@ -416,6 +381,31 @@ class TestShorSampleMatchesDense:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert peak <= 1.0 * (1 << 20) * 16, f"peak {peak / 2**20:.1f} MiB"
+
+    def test_peak_stays_under_a_register_when_m_changes(self, monkeypatch):
+        # q = 2^20, r = 10: the column holds 104 858 arguments for j < 6 and
+        # 104 857 for j >= 6.  Attempts that alternate the two hold no CDF
+        # from one attempt into the next.
+        inst = PeriodInstance(1023, 2)
+        assert inst.register_size == 1 << 20
+        sizes = []
+        build = period._frequency_cdf
+
+        def recording(q, r, m):
+            sizes.append(m)
+            return build(q, r, m)
+
+        monkeypatch.setattr(period, "_frequency_cdf", recording)
+        rng = np.random.default_rng(0)
+        tracemalloc.start()
+        try:
+            for _ in range(4):
+                shor_sample(inst, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sorted(set(sizes)) == [104857, 104858]
         assert peak <= 1.0 * (1 << 20) * 16, f"peak {peak / 2**20:.1f} MiB"
 
     def test_needs_q_amplitudes_not_q_times_n(self):
