@@ -28,19 +28,19 @@ import numpy as np
 
 from .geometry import (
     GeodesicState,
-    _residuals,
     _rk4_propagate,
     _rk4_schedule,
+    class_step_angles,
     cumulative_action,
     fisher_estimate,
 )
 from .grover import (
     GroverInstance,
+    _recursion_coefficients,
     amplification_path,
     class_path,
     phi_of_step,
     recursion_trajectory,
-    trace_path,
 )
 from .period import (
     DEFAULT_BUDGET,
@@ -79,7 +79,7 @@ _TRACE_JSON_ORDER = operator.itemgetter(*map(TRACE_COLUMNS.index, sorted(TRACE_C
 
 # Peak bytes per output row while grover-trace builds its text, in 16-byte
 # amplitude units: tracemalloc of `grover-trace 67108864 --marked 0 --steps
-# 20000` peaks at 655 B/row for csv and 1133 B/row for json.  The json charge
+# 20000` peaks at 646 B/row for csv and 1085 B/row for json.  The json charge
 # is the 2117 B/row that json.dumps took, kept so that no cap case moves.
 _TRACE_ROW_AMPLITUDES = {"csv": 41, "json": 133}
 
@@ -192,6 +192,22 @@ def _trace_json(rows) -> str:
     return f'{{\n  "format_version": {FORMAT_VERSION},\n  "rows": {rows_text}\n}}\n'
 
 
+def _geodesic_columns(inst: GroverInstance, amps: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The Fisher, residual and action columns of a run of ``inst`` from its
+    rows ``amps`` of (k_j, l_j), with one row more at each end: step -1,
+    which is step 0 mirrored in the unmarked axis, and one recursion step
+    past the last."""
+    same, to_k, to_l = _recursion_coefficients(inst.n_items, inst.n_marked)
+    (k0, l0), (k, l) = amps[0], amps[-1]
+    run = np.vstack(([-k0, l0], amps, [same * k + to_k * l, to_l * k + same * l]))
+    turns = class_step_angles(run, inst.class_sizes)  # turns[j]: step j - 1 to j
+    # phi advances 2 theta a step, so Fisher is 4 where each turn is 2 theta;
+    # the Grover step solves x_{j+1} + x_{j-1} = 2 cos(2 theta) x_j.
+    return ((turns[:-1] + turns[1:]) ** 2 / (4.0 * inst.theta**2),
+            np.max(np.abs(run[2:] + run[:-2] - 2.0 * same * run[1:-1]), axis=1),
+            np.concatenate(([0.0], np.cumsum(turns[1:-1]))))
+
+
 def cmd_grover_trace(args: argparse.Namespace) -> int:
     """Write the per-step trajectory table of a search run."""
     steps = args.steps
@@ -199,24 +215,11 @@ def cmd_grover_trace(args: argparse.Namespace) -> int:
         raise ValueError(f"steps must be >= 0, got {steps}")
     require_amplitudes(args.n_items, args.memory_cap, "statevector")
     inst = GroverInstance(args.n_items, args.marked)
-    sizes = inst.class_sizes
-    p_marked, p_unmarked = (sizes * recursion_trajectory(inst, steps, args.memory_cap)**2).T
-
-    fine = trace_path(inst, steps, args.dphi, args.memory_cap)
+    amps = recursion_trajectory(inst, steps, args.memory_cap)
     require_amplitudes((steps + 1) * _TRACE_ROW_AMPLITUDES[args.format],
                        args.memory_cap, "trace rows")
-    residuals, fisher = _residuals(fine)
-    # Per-item residual: the class residual over sqrt(class size).
-    res_phis = fine.phis[2:-2]
-    res_max = np.max(np.abs(residuals / np.sqrt(sizes)), axis=1)
-    cumulative = cumulative_action(fine.phis, fisher)
-    action_origin = np.interp(inst.theta, fine.phis, cumulative)
-
-    phis = phi_of_step(inst, np.arange(steps + 1))
-    columns = (phis, p_marked, p_unmarked,
-               np.interp(phis, fine.phis, fisher),
-               np.interp(phis, res_phis, res_max),
-               np.interp(phis, fine.phis, cumulative) - action_origin)
+    columns = (phi_of_step(inst, np.arange(steps + 1)), *(inst.class_sizes * amps**2).T,
+               *_geodesic_columns(inst, amps))
     rows = zip(range(steps + 1), *(column.tolist() for column in columns))
 
     _emit((_trace_csv if args.format == "csv" else _trace_json)(rows), args.out)
@@ -366,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace.add_argument("--marked", required=True, type=_parse_marked,
                          metavar="I[,J,...]", help="marked basis indices")
     p_trace.add_argument("--steps", required=True, type=int)
-    options(p_trace, "out", "format", "dphi", "memory-cap")
+    options(p_trace, "out", "format", "memory-cap")
     p_trace.set_defaults(run="cmd_grover_trace")
 
     p_geo = sub.add_parser("geodesic-check",

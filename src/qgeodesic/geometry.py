@@ -214,9 +214,9 @@ def _second_derivative(coords: np.ndarray, phis: np.ndarray) -> np.ndarray:
     ) / (h1 * h2 * (h1 + h2))
 
 
-def _residuals(path: ProbabilityPath) -> tuple[np.ndarray, np.ndarray]:
+def _residuals(path: ProbabilityPath) -> np.ndarray:
     """Geodesic equation-of-motion residual rows at samples 2..n-3, where
-    every stencil is central, and the Fisher function at every sample.
+    every stencil is central.
 
     Evaluates xddot_i - (fisherdot/fisher) xdot_i + (fisher/4) x_i per
     coordinate with finite-difference derivatives; raises if fisher falls
@@ -233,7 +233,7 @@ def _residuals(path: ProbabilityPath) -> tuple[np.ndarray, np.ndarray]:
     fdot = np.gradient(fisher, path.phis, edge_order=2)[2:-2]
     xddot = _second_derivative(coords, path.phis)[1:-1]
     return xddot - (fdot / inner)[:, np.newaxis] * xdot[2:-2] \
-        + (inner / 4.0)[:, np.newaxis] * coords[2:-2], fisher
+        + (inner / 4.0)[:, np.newaxis] * coords[2:-2]
 
 
 def geodesic_residual_profile(path: ProbabilityPath) -> tuple[np.ndarray, np.ndarray]:
@@ -242,7 +242,17 @@ def geodesic_residual_profile(path: ProbabilityPath) -> tuple[np.ndarray, np.nda
     Returns (phis[2:n-2], residuals), the samples of :func:`_residuals`.
     """
     _require_samples(path, 5)
-    return path.phis[2:-2].copy(), np.max(np.abs(_residuals(path)[0]), axis=1)
+    return path.phis[2:-2].copy(), np.max(np.abs(_residuals(path)), axis=1)
+
+
+def class_step_angles(amps: np.ndarray, sizes) -> np.ndarray:
+    """The angle from each row (k_j, l_j) of per-item class amplitudes to the
+    next, atan2(|X_j x X_{j+1}|, X_j . X_{j+1}) on X_j = (sqrt(M) k_j,
+    sqrt(N - M) l_j) for class ``sizes`` (M, N - M); the signed dot product
+    keeps a turn past pi/2 unfolded."""
+    x = amps * np.sqrt(sizes)
+    cross = x[:-1, 0] * x[1:, 1] - x[:-1, 1] * x[1:, 0]
+    return np.arctan2(np.abs(cross), np.sum(x[:-1] * x[1:], axis=1))
 
 
 def integrate_geodesic(

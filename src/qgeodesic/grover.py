@@ -84,9 +84,9 @@ class SearchSizes(NamedTuple):
     """A search known by its sizes alone, N items of which M are marked.
 
     The class-level functions (``recursion_trajectory``,
-    ``optimal_iterations``, ``phi_of_step``, ``marked_mass_after``,
-    ``amplification_path`` and ``trace_path``) read only ``n_items``,
-    ``n_marked`` and ``theta`` of a search, so they take this in place of a
+    ``optimal_iterations``, ``phi_of_step``, ``marked_mass_after`` and
+    ``amplification_path``) read only ``n_items``, ``n_marked`` and
+    ``theta`` of a search, so they take this in place of a
     :class:`GroverInstance` where the marked set is known by its count.
     """
 
@@ -166,34 +166,16 @@ def class_path(phis: np.ndarray) -> ProbabilityPath:
     return ProbabilityPath(phis, amps**2, amps)
 
 
-def _resampled_class_path(
-    start: float, end: float, dphi: float, minimum: int, memory_cap: int
-) -> ProbabilityPath:
-    """The class path on a uniform grid from start to end at step <= dphi,
-    at least ``minimum`` rows; its rows * 2 cells are charged against
-    ``memory_cap`` before the grid is built."""
-    cells = np.ceil((end - start) / dphi)
-    rows = max(minimum, int(cells) + 1) if np.isfinite(cells) else np.inf
-    require_amplitudes(rows * 2, memory_cap, "resampled path")
-    return class_path(np.linspace(start, end, rows))
-
-
 def amplification_path(
     inst: GroverInstance | SearchSizes, dphi: float, memory_cap: int = DEFAULT_MEMORY_CAP
 ) -> ProbabilityPath:
     """The class path from the uniform state at phi = theta to the solution
-    at pi/2, resampled at step <= dphi (at least 5 samples)."""
-    return _resampled_class_path(inst.theta, np.pi / 2, dphi, 5, memory_cap)
-
-
-def trace_path(
-    inst: GroverInstance | SearchSizes, steps: int, dphi: float,
-    memory_cap: int = DEFAULT_MEMORY_CAP,
-) -> ProbabilityPath:
-    """The class path from theta to phi_steps padded two steps beyond both ends
-    (not below 0), so that central stencils serve every step; step <= dphi."""
-    return _resampled_class_path(max(0.0, inst.theta - 2 * dphi),
-                                 phi_of_step(inst, steps) + 2 * dphi, dphi, 7, memory_cap)
+    at pi/2 on a uniform grid at step <= dphi, at least 5 samples; its rows
+    * 2 cells are charged against ``memory_cap`` before the grid is built."""
+    cells = np.ceil((np.pi / 2 - inst.theta) / dphi)
+    rows = max(5, int(cells) + 1) if np.isfinite(cells) else np.inf
+    require_amplitudes(rows * 2, memory_cap, "resampled path")
+    return class_path(np.linspace(inst.theta, np.pi / 2, rows))
 
 
 def phi_of_step(inst: GroverInstance | SearchSizes, step: int | np.ndarray) -> float | np.ndarray:

@@ -47,7 +47,7 @@ FORMAT_VERSION = 1  # of every JSON document and the trace CSV
 # Run defaults of the library calls and the CLI options alike:
 DEFAULT_BUDGET = 16  # bases for factor, attempts or rounds per period search
 DEFAULT_SAMPLES = 3  # readouts of the amplified register per round
-DEFAULT_DPHI = 0.01  # step of the resampled search paths
+DEFAULT_DPHI = 0.01  # step of the resampled amplification path
 
 SHOR = "shor"
 GROVER_ADIABATIC = "grover-adiabatic"

@@ -60,10 +60,12 @@ def commands(test_golden) -> list[list[str]]:
         marked = sorted({rng.randrange(n) for _ in range(rng.randint(1, 4))})
         if len(marked) == n:
             marked = marked[:1]
+        steps = rng.randrange(0, 400)
+        # the draw of a --dphi value, which grover-trace no longer takes, is
+        # kept so that every later list stays the same
+        rng.choice(("0.01", "0.1", "0.003"))
         extended.append(["grover-trace", str(n), "--marked", ",".join(map(str, marked)),
-                         "--steps", str(rng.randrange(0, 400)),
-                         "--dphi", rng.choice(("0.01", "0.1", "0.003")),
-                         "--format", ("csv", "json")[index % 2]])
+                         "--steps", str(steps), "--format", ("csv", "json")[index % 2]])
     extended += [[*instance, "--seed", str(seed)]
                  for instance in (["compare", "1023", "1022"], ["compare", "4087", "3"],
                                   *(["factor", n, "--method", method]

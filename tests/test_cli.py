@@ -31,10 +31,11 @@ from qgeodesic import (
     default_register_size,
     factor,
     geometry,
+    run_grover,
 )
 from qgeodesic.cli import (
     FORMAT_VERSION, TRACE_COLUMNS, _emit, _json_text, _parse_marked, _trace_json, main)
-from qgeodesic.grover import amplification_path, trace_path
+from qgeodesic.grover import amplification_path
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
@@ -64,6 +65,15 @@ def parse_trace_csv(text):
         row = dict(zip(header, values))
         rows.append(row)
     return header, rows
+
+
+def dense_step_angles(inst, steps):
+    """The angle from each dense Grover state to the next, over steps 0 to
+    steps + 1, by the signed overlap of the real amplitudes."""
+    states = run_grover(inst, steps + 1, record=True).amps.real
+    dot = np.sum(states[:-1] * states[1:], axis=1)
+    return np.arctan2(np.linalg.norm(states[1:] - dot[:, np.newaxis] * states[:-1], axis=1),
+                      dot)
 
 
 def derivative_passes(monkeypatch, capsys, args):
@@ -136,17 +146,20 @@ class TestGroverTrace:
                     "--format", "json"]) == 0
         rows = json.loads(capsys.readouterr().out)["rows"]
         inst = GroverInstance(int(n_items), frozenset(_parse_marked(marked)))
-        fine = trace_path(inst, steps, 0.01)
-        for row in rows:
-            expected = action(fine, inst.theta, row["phi"])
-            assert row["action_cumulative"] == pytest.approx(expected, abs=1e-12)
+        expected = np.concatenate(([0.0], np.cumsum(dense_step_angles(inst, steps)[:-1])))
+        for row, turned in zip(rows, expected, strict=True):
+            assert row["action_cumulative"] == pytest.approx(turned, abs=1e-10)
 
-    @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_one_derivative_pass(self, monkeypatch, capsys, fmt):
-        # the Fisher column comes from the residual pass, not a second one
+    def test_no_derivative_grid_or_interpolation(self, monkeypatch, capsys):
+        # the derived columns are read off the run's own rows
+        def refused(*args, **kwargs):
+            raise AssertionError("grover-trace reached a resampling pass")
+
+        monkeypatch.setattr(np, "interp", refused)
+        monkeypatch.setattr(cli, "class_path", refused)
+        monkeypatch.setattr(cli, "amplification_path", refused)
         assert derivative_passes(monkeypatch, capsys, [
-            "grover-trace", "1024", "--marked", "1,2,3", "--steps", "40",
-            "--format", fmt]) == 1
+            "grover-trace", "1024", "--marked", "1,2,3", "--steps", "40"]) == 0
 
     def test_empty_marked_exits_2(self, capsys):
         assert run(["grover-trace", "4", "--marked", "", "--steps", "1"]) == 2
@@ -165,10 +178,6 @@ class TestGroverTrace:
         assert run(["grover-trace", "1", "--marked", "0", "--steps", "1"]) == 2
         assert run(["grover-trace", "4", "--marked", "7", "--steps", "1"]) == 2
         assert run(["grover-trace", "4", "--marked", "0", "--steps", "-2"]) == 2
-
-    def test_bad_dphi_exits_2(self):
-        assert run(["grover-trace", "4", "--marked", "0", "--steps", "1",
-                    "--dphi", "0.5"]) == 2
 
     def test_memory_cap_exits_3(self, capsys):
         assert run(["grover-trace", "1024", "--marked", "0", "--steps", "1",
@@ -493,7 +502,7 @@ TOKENS = st.one_of(OPTIONS, VALUES, JUNK, st.sampled_from(COMMANDS))
 # options with a value, required ones first.
 CHUNKS = {
     "grover-trace": [["16"], ["--marked", "0,5"], ["--steps", "3"], ["--format", "json"],
-                     ["--dphi", "0.05"], ["--memory-cap", "99"], ["--out", "t.csv"]],
+                     ["--memory-cap", "99"], ["--out", "t.csv"]],
     "geodesic-check": [["4"], ["--dphi", "0.1"], ["--memory-cap", "9"], ["--out", "g"]],
     "factor": [["15"], ["--method", "shor"], ["--seed", "1"], ["--budget", "2"],
                ["--samples", "3"], ["--memory-cap", "9"], ["--out", "f"]],
@@ -590,6 +599,7 @@ class TestDroppedFlags:
         ["grover-trace", "4", "--marked", "0", "--steps", "1", "--seed", "1"],
         ["grover-trace", "4", "--marked", "0", "--steps", "1", "--budget", "2"],
         ["grover-trace", "4", "--marked", "0", "--steps", "1", "--samples", "2"],
+        ["grover-trace", "4", "--marked", "0", "--steps", "1", "--dphi", "0.01"],
         ["geodesic-check", "4", "--seed", "1"],
         ["geodesic-check", "4", "--budget", "2"],
         ["geodesic-check", "4", "--samples", "2"],
@@ -617,7 +627,7 @@ class TestOptionChecks:
 
     CASES = [
         *[(cmd, ["--dphi", value], f"dphi must lie in (0, 0.1], got {shown}")
-          for cmd in ("grover-trace", "geodesic-check", "compare")
+          for cmd in ("geodesic-check", "compare")
           for value, shown in (("0", "0.0"), ("0.5", "0.5"), ("nan", "nan"))],
         *[(cmd, ["--memory-cap", "0"], "memory cap must be positive, got 0")
           for cmd in BASE],
@@ -667,8 +677,8 @@ class TestAllocationCaps:
          "resampled path needs 20946 amplitudes, cap is 4000"),
         (["geodesic-check", "64", "--memory-cap", "100"],
          "resampled path needs 292 amplitudes, cap is 100"),
-        (["grover-trace", "64", "--marked", "0", "--steps", "10", "--memory-cap", "500"],
-         "resampled path needs 512 amplitudes, cap is 500"),
+        (["grover-trace", "64", "--marked", "0", "--steps", "10", "--memory-cap", "450"],
+         "trace rows needs 451 amplitudes, cap is 450"),
         (["grover-trace", "64", "--marked", "0", "--steps", "300", "--memory-cap", "500"],
          "trajectory needs 602 amplitudes, cap is 500"),
     ])
@@ -676,21 +686,7 @@ class TestAllocationCaps:
         assert run(args) == 3
         assert capsys.readouterr().err == f"resource error: {message}\n"
 
-    def test_trace_path_is_charged_before_its_grid(self, capsys):
-        # 104 719 761 rows: the grid alone would be 799 MiB
-        tracemalloc.start()
-        try:
-            assert run(["grover-trace", "4", "--marked", "0", "--steps", "2",
-                        "--dphi", "2e-8", "--memory-cap", "1000"]) == 3
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert capsys.readouterr().err == (
-            "resource error: resampled path needs 209439522 amplitudes, cap is 1000\n")
-        assert peak < 2**20, f"peak {peak / 2**20:.1f} MiB"
-
     @pytest.mark.parametrize("args", [
-        ["grover-trace", "4", "--marked", "0", "--steps", "2"],
         ["geodesic-check", "4"],
         ["compare", "15", "2", "--seed", "1"],
     ])
@@ -800,16 +796,16 @@ class TestNoFft:
 
 class TestTraceRows:
     """grover-trace charges its output rows, per format, after its trajectory
-    and resampled path and before it interpolates the step columns."""
+    and before it computes the step columns."""
 
     def test_rows_are_charged_before_they_are_built(self, capsys):
-        # 20 001 rows at 41 cells each; the trajectory (40 002 cells) and the
-        # resampled path (25 002 cells) fit the cap.  The run peaks at 1.1 MiB
-        # before the charge, where the csv rows would add about 13 MB.
+        # 20 001 rows at 41 cells each; the trajectory (40 002 cells) fits
+        # the cap.  The run peaks at 1.1 MiB before the charge, where the
+        # csv rows would add about 13 MB.
         tracemalloc.start()
         try:
             assert run(["grover-trace", "1024", "--marked", "0", "--steps", "20000",
-                        "--dphi", "0.1", "--memory-cap", "100000"]) == 3
+                        "--memory-cap", "100000"]) == 3
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -842,7 +838,7 @@ class TestTraceRows:
         return peak / steps
 
     def test_csv_peak_per_row(self, capsys):
-        # 655 B/row measured, with no dict per row
+        # 646 B/row measured, with no dict per row
         per_row = self.peak_per_row([], capsys)
         assert per_row <= 700, f"{per_row:.0f} B/step"
 

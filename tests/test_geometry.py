@@ -30,7 +30,7 @@ from qgeodesic import (
     run_grover,
     unitarity_identity_check,
 )
-from qgeodesic.geometry import _residuals, _rk4_propagate, _rk4_schedule
+from qgeodesic.geometry import _rk4_propagate, _rk4_schedule, class_step_angles
 
 
 def grover_fine_path(n, dphi=0.01, lo=None, hi=np.pi / 2):
@@ -270,6 +270,25 @@ class TestFubiniStudy:
             fubini_study_distance(new_uniform(4), new_uniform(8))
 
 
+class TestClassStepAngles:
+    @pytest.mark.parametrize("n,m", [(4, 1), (16, 5), (4, 3), (1000, 999), (2**26, 1)])
+    def test_each_grover_step_turns_two_theta(self, n, m):
+        # the closed form at phi_j = (2j + 1) theta; past M = N/2 the turn
+        # 2 theta exceeds pi/2 and is not folded to pi - 2 theta
+        inst = GroverInstance(n, range(m))
+        theta, phis = inst.theta, phi_of_step(inst, np.arange(8))
+        amps = np.stack([np.sin(phis) / np.sqrt(m), np.cos(phis) / np.sqrt(n - m)], axis=1)
+        turns = class_step_angles(amps, [m, n - m])
+        assert turns.shape == (7,)
+        assert np.max(np.abs(turns - 2 * theta)) < 1e-13
+
+    def test_a_still_row_has_no_turn(self):
+        amps = np.array([[0.5, 0.5], [0.5, 0.5], [-0.5, 0.5]])
+        # X = (0.5, 0.5 sqrt 3) mirrored in the unmarked axis: 2 pi / 6
+        turns = class_step_angles(amps, [1, 3])
+        assert turns[0] == 0.0 and turns[1] == pytest.approx(np.pi / 3, abs=1e-15)
+
+
 class TestAction:
     def test_grover_full_interval(self):
         path = grover_fine_path(4, dphi=0.01)
@@ -376,17 +395,6 @@ class TestGeodesicResidual:
     def test_stationary_path_guard(self):
         with pytest.raises(ValueError, match="at sample 2 below guard"):
             geodesic_residual_profile(constant_path([0.5, 0.5]))
-
-    @pytest.mark.parametrize("phase", [0.0, 1.0])
-    @pytest.mark.parametrize("n", [2, 8])
-    def test_residual_pass_returns_the_fisher_estimate(self, n, phase):
-        path = grover_fine_path(n)
-        if phase:  # a phase winding on the marked item's amplitude
-            amps = path.amps.astype(complex)
-            amps[:, 0] *= np.exp(1j * phase * path.phis)
-            path = ProbabilityPath(path.phis, path.probs, amps)
-        _, fisher = _residuals(path)
-        assert fisher.tobytes() == fisher_discrete(path).fisher.tobytes()
 
 
 def tied_state(dim, ties, seed):

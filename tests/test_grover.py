@@ -29,7 +29,7 @@ from qgeodesic.geometry import (
     geodesic_residual_profile,
     integrate_geodesic,
 )
-from qgeodesic.grover import amplification_path, class_path, recursion_trajectory, trace_path
+from qgeodesic.grover import amplification_path, class_path, recursion_trajectory
 
 
 def single_marked(n):
@@ -316,8 +316,51 @@ def search_runs(draw, max_items=128):
 
 def item_residual_max(path, inst):
     """Per-item residual maxima from the class path, as grover-trace takes them."""
-    residuals, _ = _residuals(path)
-    return np.max(np.abs(residuals / np.sqrt(inst.class_sizes)), axis=1)
+    return np.max(np.abs(_residuals(path) / np.sqrt(inst.class_sizes)), axis=1)
+
+
+# Bounds on grover-trace's derived columns, fixed before any run at scale.
+# Each step turns the state by 2 theta, so up to rounding the Fisher column
+# is 4, the residual 0 and the action after j steps 2 j theta.
+TRACE_BOUNDS = {"fisher_estimate": 1e-9, "geodesic_residual_max": 1e-12,
+                "action_cumulative": 1e-10}
+
+
+def trace_rows(inst, steps):
+    """The rows of grover-trace's json document for a run of ``steps``."""
+    marked = ",".join(map(str, inst.marked))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["grover-trace", str(inst.n_items), "--marked", marked,
+                         "--steps", str(steps), "--format", "json"]) == 0
+    return json.loads(out.getvalue())["rows"]
+
+
+def trace_faults(rows, theta):
+    """Each derived column's largest distance from its geodesic value:
+    |fisher - 4|, the residual, and |action - 2 j theta|."""
+    def column(name):
+        return np.array([row[name] for row in rows])
+
+    return {"fisher_estimate": np.max(np.abs(column("fisher_estimate") - 4.0)),
+            "geodesic_residual_max": np.max(column("geodesic_residual_max")),
+            "action_cumulative": np.max(np.abs(column("action_cumulative")
+                                               - 2.0 * theta * column("step")))}
+
+
+def dense_columns(inst, states):
+    """The derived columns on the N-wide real states of steps 0..steps + 1,
+    from the turn of each state to the next; step -1 is the start with its
+    marked amplitudes negated, one Grover step back."""
+    states = np.vstack((np.where(inst.marked_mask(), -states[0], states[0]), states))
+    dot = np.sum(states[:-1] * states[1:], axis=1)
+    turns = np.arctan2(
+        np.linalg.norm(states[1:] - dot[:, np.newaxis] * states[:-1], axis=1), dot)
+    c = (inst.n_items - 2 * inst.n_marked) / inst.n_items
+    return {"fisher_estimate": (turns[:-1] + turns[1:]) ** 2 / (4.0 * inst.theta**2),
+            "geodesic_residual_max": np.max(
+                np.abs(states[2:] + states[:-2] - 2.0 * c * states[1:-1]), axis=1),
+            "action_cumulative": np.concatenate(([0.0], np.cumsum(turns[1:-1])))}
 
 
 class TestClassReduction:
@@ -394,9 +437,11 @@ class TestClassReduction:
     @settings(max_examples=60, deadline=None)
     @given(search_runs(), st.sampled_from([0.1, 0.03, 0.01]))
     def test_geometry_matches_item_path(self, run, dphi):
-        """On the grover-trace grid from theta to phi_steps."""
+        """On a grid at step <= dphi from theta to phi_steps, padded two
+        steps beyond both ends."""
         inst, steps = run
-        phis = trace_path(inst, steps, dphi).phis
+        start, end = inst.theta - 2 * dphi, phi_of_step(inst, steps) + 2 * dphi
+        phis = np.linspace(start, end, int(np.ceil((end - start) / dphi)) + 1)
         reduced, dense = class_path(phis), analytic_trajectory(inst, phis)
         assert np.max(np.abs(fisher_discrete(reduced).fisher
                              - fisher_discrete(dense).fisher)) < 1e-12
@@ -432,27 +477,37 @@ class TestClassReduction:
     @settings(max_examples=25, deadline=None)
     @given(search_runs(max_items=64))
     def test_grover_trace_matches_dense_reference(self, run):
-        """Every column of grover-trace against the parent's N-wide pipeline:
-        run_grover class sums, Fisher and residual profile of
-        analytic_trajectory on the same fine grid."""
+        """Every column of grover-trace against the N-wide states of
+        run_grover: their class sums, and the Fisher, residual and action
+        of their own turns."""
         inst, steps = run
-        marked = ",".join(map(str, inst.marked))
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            assert cli.main(["grover-trace", str(inst.n_items), "--marked", marked,
-                             "--steps", str(steps), "--format", "json"]) == 0
-        rows = json.loads(out.getvalue())["rows"]
-
-        sim = run_grover(inst, steps)
+        rows = trace_rows(inst, steps)
+        dense = run_grover(inst, steps + 1, record=True)
         mask = inst.marked_mask()
-        fine = analytic_trajectory(inst, trace_path(inst, steps, 0.01).phis)
-        fisher = fisher_discrete(fine).fisher
-        res_phis, res_max = geodesic_residual_profile(fine)
         for j, row in enumerate(rows):
-            assert row["step"] == j and row["phi"] == sim.phis[j]
-            assert abs(row["p_marked"] - sim.probs[j, mask].sum()) < 1e-12
-            assert abs(row["p_unmarked"] - sim.probs[j, ~mask].sum()) < 1e-12
-            assert abs(row["fisher_estimate"]
-                       - np.interp(sim.phis[j], fine.phis, fisher)) < 1e-12
-            assert abs(row["geodesic_residual_max"]
-                       - np.interp(sim.phis[j], res_phis, res_max)) < 1e-10
+            assert row["step"] == j and row["phi"] == dense.phis[j]
+            assert abs(row["p_marked"] - dense.probs[j, mask].sum()) < 1e-12
+            assert abs(row["p_unmarked"] - dense.probs[j, ~mask].sum()) < 1e-12
+        for name, fault in trace_faults(rows, inst.theta).items():
+            assert fault <= TRACE_BOUNDS[name], name
+        for name, reference in dense_columns(inst, dense.amps.real).items():
+            column = np.array([row[name] for row in rows])
+            assert np.max(np.abs(column - reference)) <= TRACE_BOUNDS[name], name
+
+    @pytest.mark.parametrize("n_items,marked,steps", [
+        (16, [0, 5], 4), (64, [0], 6), (1024, [1, 2, 3], 40), (2**20, [7], 100)])
+    def test_a_reversed_step_fails_the_bounds(self, monkeypatch, n_items, marked, steps):
+        """A run that visits step j + 1 before step j, halfway."""
+        trajectory = cli.recursion_trajectory
+
+        def reversed_step(inst, steps, memory_cap):
+            amps = trajectory(inst, steps, memory_cap)
+            j = steps // 2
+            amps[[j, j + 1]] = amps[[j + 1, j]]
+            return amps
+
+        monkeypatch.setattr(cli, "recursion_trajectory", reversed_step)
+        inst = GroverInstance(n_items, marked)
+        faults = trace_faults(trace_rows(inst, steps), inst.theta)
+        assert faults["fisher_estimate"] > TRACE_BOUNDS["fisher_estimate"]
+        assert faults["geodesic_residual_max"] > TRACE_BOUNDS["geodesic_residual_max"]
