@@ -150,16 +150,29 @@ class TestGroverTrace:
         for row, turned in zip(rows, expected, strict=True):
             assert row["action_cumulative"] == pytest.approx(turned, abs=1e-10)
 
-    def test_no_derivative_grid_or_interpolation(self, monkeypatch, capsys):
-        # the derived columns are read off the run's own rows
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_one_derivative_pass(self, monkeypatch, capsys, fmt):
+        # the derived columns come from one pass of step angles over the
+        # run's own rows, one more at each end: no finite-difference pass,
+        # no resampled path, no interpolation
         def refused(*args, **kwargs):
             raise AssertionError("grover-trace reached a resampling pass")
+
+        rows = []
+        step_angles = cli.class_step_angles
+
+        def counting(amps, sizes):
+            rows.append(len(amps))
+            return step_angles(amps, sizes)
 
         monkeypatch.setattr(np, "interp", refused)
         monkeypatch.setattr(cli, "class_path", refused)
         monkeypatch.setattr(cli, "amplification_path", refused)
+        monkeypatch.setattr(cli, "class_step_angles", counting)
         assert derivative_passes(monkeypatch, capsys, [
-            "grover-trace", "1024", "--marked", "1,2,3", "--steps", "40"]) == 0
+            "grover-trace", "1024", "--marked", "1,2,3", "--steps", "40",
+            "--format", fmt]) == 0
+        assert rows == [43]
 
     def test_empty_marked_exits_2(self, capsys):
         assert run(["grover-trace", "4", "--marked", "", "--steps", "1"]) == 2
@@ -178,6 +191,15 @@ class TestGroverTrace:
         assert run(["grover-trace", "1", "--marked", "0", "--steps", "1"]) == 2
         assert run(["grover-trace", "4", "--marked", "7", "--steps", "1"]) == 2
         assert run(["grover-trace", "4", "--marked", "0", "--steps", "-2"]) == 2
+
+    def test_bad_dphi_exits_2(self, capsys):
+        # grover-trace takes no --dphi: even a step geodesic-check accepts
+        # is a usage error
+        with pytest.raises(SystemExit) as exc:
+            run(["grover-trace", "4", "--marked", "0", "--steps", "1", "--dphi", "0.01"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            "error: unrecognized arguments: --dphi 0.01\n")
 
     def test_memory_cap_exits_3(self, capsys):
         assert run(["grover-trace", "1024", "--marked", "0", "--steps", "1",
@@ -599,7 +621,6 @@ class TestDroppedFlags:
         ["grover-trace", "4", "--marked", "0", "--steps", "1", "--seed", "1"],
         ["grover-trace", "4", "--marked", "0", "--steps", "1", "--budget", "2"],
         ["grover-trace", "4", "--marked", "0", "--steps", "1", "--samples", "2"],
-        ["grover-trace", "4", "--marked", "0", "--steps", "1", "--dphi", "0.01"],
         ["geodesic-check", "4", "--seed", "1"],
         ["geodesic-check", "4", "--budget", "2"],
         ["geodesic-check", "4", "--samples", "2"],
@@ -616,7 +637,8 @@ class TestDroppedFlags:
 class TestOptionChecks:
     """Bad option values exit 2 with one message, checked in the order
     dphi, memory cap, budget, samples whatever the order on the command
-    line; each command checks only the options it takes."""
+    line; each command checks only the options it takes, and refuses the
+    others as usage errors before any check (message None)."""
 
     BASE = {
         "grover-trace": ["grover-trace", "4", "--marked", "0", "--steps", "1"],
@@ -629,6 +651,7 @@ class TestOptionChecks:
         *[(cmd, ["--dphi", value], f"dphi must lie in (0, 0.1], got {shown}")
           for cmd in ("geodesic-check", "compare")
           for value, shown in (("0", "0.0"), ("0.5", "0.5"), ("nan", "nan"))],
+        *[("grover-trace", ["--dphi", value], None) for value in ("0", "0.5", "nan")],
         *[(cmd, ["--memory-cap", "0"], "memory cap must be positive, got 0")
           for cmd in BASE],
         *[(cmd, ["--budget", "0"], "budget must be >= 1, got 0")
@@ -645,6 +668,14 @@ class TestOptionChecks:
     @pytest.mark.parametrize("command,options,message", CASES,
                              ids=[" ".join([c, *o]) for c, o, _ in CASES])
     def test_exits_2_with_the_first_failed_check(self, command, options, message, capsys):
+        if message is None:
+            with pytest.raises(SystemExit) as exc:
+                run(self.BASE[command] + options)
+            assert exc.value.code == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.endswith(f"error: unrecognized arguments: {' '.join(options)}\n")
+            return
         assert run(self.BASE[command] + options) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
 
