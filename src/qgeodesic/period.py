@@ -6,8 +6,10 @@ Two period finders share the same number-theoretic post-processing:
   sum_a |a>|y^a mod N>, Fourier-transforms the first register, and
   extracts the period from the measured frequency by continued fractions.
   It draws the frequency from the closed-form readout distribution of the
-  one column the projection leaves nonzero, with no FFT; ``build_register``
-  and ``shor_project`` keep the dense pair state as the reference.
+  one column the projection leaves nonzero, with no FFT and no q-long
+  array: the bisection reads its CDF off the sums of one half period of
+  the kernel.  ``build_register`` and ``shor_project`` keep the dense pair
+  state as the reference.
 
 * ``grover_period`` amplifies the arguments a with y^a = y (mod N) by
   running amplitude amplification over the first register, samples the
@@ -120,6 +122,16 @@ class PeriodInstance:
         cdf = _readout_cdf(_value_marginal(self))
         cdf.flags.writeable = False
         return cdf
+
+    @functools.cached_property
+    def frequency_sines(self) -> np.ndarray:
+        """The sin^2 table of :func:`_frequency_sines`, q' / 2 + 1 floats
+        for q' = q / gcd(r, q), read-only, built on first use: it depends
+        on q' alone, so every Shor attempt on this instance reads it,
+        whichever m its column holds."""
+        sines = _frequency_sines(self.register_size, self.orbit.size)
+        sines.flags.writeable = False
+        return sines
 
     @functools.cached_property
     def table(self) -> np.ndarray:
@@ -237,20 +249,74 @@ def _readout_cdf(p: np.ndarray) -> np.ndarray:
     return np.cumsum(p, out=p)
 
 
-def _draw(cdf: np.ndarray, rng: np.random.Generator) -> int:
+def _draw(cdf, rng: np.random.Generator) -> int:
     """One of ``choice``'s readouts from the distribution with these
-    cumulative sums: one ``rng.random()`` call, placed by bisection on
-    ``cdf / cdf[-1]``.  Only the ~log2(size) entries it probes are divided,
-    each to the same IEEE quotient as in choice's normalised CDF, so the
-    index and generator state are those of ``rng.choice(cdf.size, p=p)``."""
+    cumulative sums, an array or a :class:`_PeriodicCdf`: one
+    ``rng.random()`` call, placed by bisection on ``cdf / cdf[-1]``.  Only
+    the ~log2(len(cdf)) entries it probes are read and divided, each to the
+    same IEEE quotient as in choice's normalised CDF of the same sums, so
+    the index and generator state are those of ``rng.choice(len(cdf),
+    p=p)``."""
     total = cdf[-1]
     return bisect.bisect_right(cdf, rng.random(), key=lambda c: c / total)
+
+
+class _PeriodicCdf:
+    """The undivided cumulative sums S[k] = p[0] + ... + p[k], k < size, of
+    a distribution that repeats every q' = 2 h readouts and is symmetric
+    within a period, p[q' - k] = p[k], held as p[0] and the h partial sums
+    H[i] = p[1] + ... + p[i + 1] of one half period.
+
+    A sequence of ``size`` floats, negative indexes too, for :func:`_draw`'s
+    bisection: entry k = b q' + j is b P + C[j], with P = C[q' - 1] the sum
+    of one period, C[j] = p[0] + H[j - 1] for j <= h, and above h the
+    mirrored half added to C[h]: C[j] = C[h] + (H[h - 2] - H[q' - j - 2]),
+    the sum of p[h + 1..j] = p[q' - j..h - 1].  Each entry is O(1), and the
+    entries are non-decreasing in floating point as the sums are: H is,
+    so the difference of two of its entries grows with j, and the block
+    offset b P is shared by a period's entries, whose last, P, lies p[0]
+    below the next block's first."""
+
+    def __init__(self, size: int, head: float, half_sums: np.ndarray):
+        self._size = size
+        self._half_sums = half_sums
+        self._half = half_sums.size
+        self._period = 2 * self._half
+        self._head = head
+        self._middle = head + half_sums.item(-1)  # C[h]
+        self._below_middle = half_sums.item(-2) if self._half > 1 else 0.0  # H[h - 2]
+        self.period_sum = self._middle + self._below_middle
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __getitem__(self, k: int) -> float:
+        if k < 0:
+            k += self._size
+        if not 0 <= k < self._size:
+            raise IndexError(f"index {k} out of range for {self._size} sums")
+        block, j = divmod(k, self._period)
+        if j == 0:
+            within = self._head
+        elif j <= self._half:
+            within = self._head + self._half_sums.item(j - 1)
+        else:
+            mirrored = self._half_sums.item(self._period - j - 2) if j < self._period - 1 else 0.0
+            within = self._middle + (self._below_middle - mirrored)
+        return block * self.period_sum + within
 
 
 _CHUNK = 1 << 14  # readouts per pass of _frequency_cdf's fill
 
 
-def _frequency_cdf(q: int, r: int, m: int) -> np.ndarray:
+def _frequency_sines(q: int, r: int) -> np.ndarray:
+    """sin^2(pi i / q') for i <= q' / 2, q' = q / gcd(r, q): the table that
+    :func:`_frequency_cdf` reads both angles of the kernel from."""
+    period = q // math.gcd(r, q)
+    return np.sin(np.arange(period // 2 + 1) * (np.pi / period)) ** 2
+
+
+def _frequency_cdf(q: int, r: int, m: int, sines: np.ndarray) -> _PeriodicCdf:
     """The undivided cumulative sums, as :func:`_readout_cdf` leaves them,
     of qft's readout distribution for a column uniform on the m arguments
     a = j (mod r) below q: the Dirichlet kernel p[k] = sin^2(pi m x / q) /
@@ -259,29 +325,26 @@ def _frequency_cdf(q: int, r: int, m: int) -> np.ndarray:
     q' = q / g and t = (r / g) k mod q'; r / g is odd, so x = 0 only at
     k = 0 (mod q'), p repeats every q' readouts and p[q' - k] = p[k].  Only
     k in [1, q' / 2] is evaluated, in chunks: t and m t mod q' exactly in
-    int64 (products below q^2 <= 2^52), folded onto one table of
-    sin^2(pi i / q') for i <= q' / 2."""
+    int64 (products below q^2 <= 2^52), folded onto ``sines``, the table of
+    :func:`_frequency_sines` for (q, r).  Their partial sums, built in
+    place, are the q' / 2 floats that the returned :class:`_PeriodicCdf`
+    reads all q sums from."""
     g = math.gcd(r, q)
     period = q // g
     half = period // 2
     stride = r // g
     steps = np.array([[m * stride % period], [stride]])  # m t and t per step of k
-    sines = np.sin(np.arange(half + 1) * (np.pi / period)) ** 2
-    p = np.empty(q)
-    p[0] = m / q
+    half_sums = np.empty(half)  # p[k] at half_sums[k - 1]
     for start in range(1, half + 1, _CHUNK):
         angles = steps * np.arange(start, min(start + _CHUNK, half + 1))
         angles &= period - 1
         np.minimum(angles, period - angles, out=angles)  # folded onto i <= q' / 2
         above, below = sines[angles]
         below *= q * m
-        np.divide(above, below, out=p[start:start + below.size])
-    p[half + 1:period] = p[half - 1:0:-1]
-    p.reshape(g, period)[1:] = p[:period]
-    total = p.sum()
-    require_normalized(float(total))
-    p /= total
-    return _readout_cdf(p)
+        np.divide(above, below, out=half_sums[start - 1:start - 1 + below.size])
+    cdf = _PeriodicCdf(q, m / q, np.cumsum(half_sums, out=half_sums))
+    require_normalized(g * cdf.period_sum)
+    return cdf
 
 
 def _amplified_readouts(inst: PeriodInstance, k: float, l: float, uniforms) -> list[int]:
@@ -350,10 +413,11 @@ def shor_sample(
 
     Measures the function register, then Fourier-samples the one column of
     the pair state that the projection leaves nonzero, from the closed form
-    of its readout distribution (:func:`_frequency_cdf`).  Makes the same
-    draws from ``rng`` as ``build_register`` -> ``shor_project`` -> ``qft``
-    -> ``measure_register``, with probabilities equal up to rounding, with
-    no column and no FFT.
+    of its readout distribution (:func:`_frequency_cdf`): the sums of one
+    half period of its kernel, read through the instance's sin^2 table.
+    Makes the same draws from ``rng`` as ``build_register`` ->
+    ``shor_project`` -> ``qft`` -> ``measure_register``, with probabilities
+    equal up to rounding, with no column, no FFT and no q-long array.
 
     Raises :class:`ResourceLimitError` if the q amplitudes of the argument
     register exceed ``memory_cap``.
@@ -362,7 +426,7 @@ def shor_sample(
     l = _draw(inst.value_cdf, rng)
     q, orbit = inst.register_size, inst.orbit
     m = (q - 1 - orbit.tolist().index(l)) // orbit.size + 1  # arguments a = j (mod r) below q
-    return l, _draw(_frequency_cdf(q, orbit.size, m), rng)
+    return l, _draw(_frequency_cdf(q, orbit.size, m, inst.frequency_sines), rng)
 
 
 def shor_period(

@@ -20,10 +20,12 @@ nothing.
 The list holds the golden commands; ``factor`` N = 3..50 with both methods
 at seeds 0-3; ``compare`` over every valid base of 13 moduli up to 143 at
 seeds 0-1; ``geodesic-check`` at 14 sizes and 3 ``--dphi``; 60 seeded random
-``grover-trace`` runs, half csv and half json; and the q = 2^20 and q = 2^24
-instances ``compare 1023 1022``, ``compare 4087 3``, ``factor 1023`` and
-``factor 4087`` with both methods at seeds 0-2.  It takes minutes and peaks
-near 0.7 GiB per process at q = 2^24, so it is not part of the test suite.
+``grover-trace`` runs, half csv and half json; and the q = 2^20, 2^22 and
+2^24 instances ``compare 1023 1022``, ``compare 2047 2`` (r = 11, odd, so
+the readout kernel's period is all of q), ``compare 4087 3``, ``factor
+1023`` and ``factor 4087`` with both methods at seeds 0-2.  It takes
+minutes and peaks near 0.7 GiB per process at q = 2^24, so it is not part
+of the test suite.
 """
 
 from __future__ import annotations
@@ -67,7 +69,8 @@ def commands(test_golden) -> list[list[str]]:
         extended.append(["grover-trace", str(n), "--marked", ",".join(map(str, marked)),
                          "--steps", str(steps), "--format", ("csv", "json")[index % 2]])
     extended += [[*instance, "--seed", str(seed)]
-                 for instance in (["compare", "1023", "1022"], ["compare", "4087", "3"],
+                 for instance in (["compare", "1023", "1022"], ["compare", "2047", "2"],
+                                  ["compare", "4087", "3"],
                                   *(["factor", n, "--method", method]
                                     for n in ("1023", "4087") for method in METHODS))
                  for seed in range(3)]

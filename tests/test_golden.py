@@ -91,6 +91,7 @@ def _commands() -> list[list[str]]:
     commands += [
         ["compare", "1023", "1022", "--seed", "0"],  # q = 2^20, M = 2^19
         ["compare", "1023", "1022", "--seed", "1"],
+        ["compare", "2047", "2", "--seed", "1"],  # q = 2^22, r = 11: gcd(r, q) = 1
         ["compare", "4087", "3", "--seed", "1"],  # q = 2^24, r = 110
         ["compare", "15", "2", "--seed", "1", "--dphi", "0.1"],
         ["compare", "21", "2", "--seed", "1", "--dphi", "0.001"],

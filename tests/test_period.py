@@ -208,12 +208,12 @@ class RecordingGenerator:
 
 @pytest.fixture
 def drawn_cdfs(monkeypatch):
-    """A copy of the cumulative sums of every readout draw, in order."""
+    """The values of the cumulative sums of every readout draw, in order."""
     cdfs = []
     draw = period._draw
 
     def recording(cdf, rng):
-        cdfs.append(cdf.copy())
+        cdfs.append(np.array([cdf[k] for k in range(len(cdf))]))
         return draw(cdf, rng)
 
     monkeypatch.setattr(period, "_draw", recording)
@@ -312,7 +312,8 @@ class TestOrbit:
 
 
 class TestValueCdf:
-    """The function-register readout draws from one CDF per instance."""
+    """The function-register readout draws from one CDF per instance, and
+    the frequency readouts read one sin^2 table per instance."""
 
     def test_is_the_readout_cdf_of_the_marginal(self):
         inst = PeriodInstance(91, 3)
@@ -325,13 +326,17 @@ class TestValueCdf:
 
     def test_one_build_per_instance(self, monkeypatch):
         builds = cached_property_builds(monkeypatch, "value_cdf")
+        sines = cached_property_builds(monkeypatch, "frequency_sines")
         inst = PeriodInstance(143, 108)
         assert shor_period(inst, np.random.default_rng(1)).attempts == 7
-        assert builds == [inst]
+        assert builds == [inst] and sines == [inst]
+        with pytest.raises(ValueError):
+            inst.frequency_sines[0] = 0.5
         builds.clear()
+        sines.clear()
         inst = PeriodInstance(143, 108)
         report = compare_methods(inst, seed=1)
-        assert report.methods[SHOR].attempts == 2 and builds == [inst]
+        assert report.methods[SHOR].attempts == 2 and builds == [inst] and sines == [inst]
 
 
 class TestShorSampleMatchesDense:
@@ -363,25 +368,29 @@ class TestShorSampleMatchesDense:
             cdf /= cdf[-1]
             assert len(drawn_cdfs) == 2  # the function value, then the frequency
             sums = drawn_cdfs[1]
+            assert sums.size == inst.register_size
             assert np.max(np.abs(sums / sums[-1] - cdf)) <= 1e-12
             rng = np.random.default_rng(seed)
             rng.random()  # the function value's uniform
             assert c == cdf.searchsorted(rng.random(), side="right")
 
     def test_peak_is_the_column_and_its_distribution(self):
-        # q = 2^20: the charged register is q complex amplitudes (16 MiB).
-        # One call holds the q-long float distribution, whose CDF it builds
-        # in place, its half-period sin^2 table and one chunk's temporaries,
-        # with no complex column: under one register.
-        inst = PeriodInstance(1023, 1022)
-        assert inst.register_size == 1 << 20
-        tracemalloc.start()
-        try:
-            shor_sample(inst, np.random.default_rng(1))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.0 * (1 << 20) * 16, f"peak {peak / 2**20:.1f} MiB"
+        # The charged register is q complex amplitudes (16 q bytes).  One
+        # call holds the sin^2 table and the partial sums of one half
+        # period, q' / 2 floats each for q' = q / gcd(r, q), and one chunk's
+        # temporaries, with no complex column and no q-long distribution:
+        # 4 q bytes at q = 2^20, r = 2, and 8 q bytes at q = 2^22, r = 11,
+        # where r is odd, q' = q and the half period is longest.
+        for n, y, q in ((1023, 1022, 1 << 20), (2047, 2, 1 << 22)):
+            inst = PeriodInstance(n, y)
+            assert inst.register_size == q
+            tracemalloc.start()
+            try:
+                shor_sample(inst, np.random.default_rng(1))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 0.6 * q * 16, f"q = {q}: peak {peak / 2**20:.1f} MiB"
 
     def test_peak_stays_under_a_register_when_m_changes(self, monkeypatch):
         # q = 2^20, r = 10: the column holds 104 858 arguments for j < 6 and
@@ -392,9 +401,9 @@ class TestShorSampleMatchesDense:
         sizes = []
         build = period._frequency_cdf
 
-        def recording(q, r, m):
+        def recording(q, r, m, sines):
             sizes.append(m)
-            return build(q, r, m)
+            return build(q, r, m, sines)
 
         monkeypatch.setattr(period, "_frequency_cdf", recording)
         rng = np.random.default_rng(0)
@@ -406,7 +415,7 @@ class TestShorSampleMatchesDense:
         finally:
             tracemalloc.stop()
         assert sorted(set(sizes)) == [104857, 104858]
-        assert peak <= 1.0 * (1 << 20) * 16, f"peak {peak / 2**20:.1f} MiB"
+        assert peak <= 0.6 * (1 << 20) * 16, f"peak {peak / 2**20:.1f} MiB"
 
     def test_needs_q_amplitudes_not_q_times_n(self):
         inst = PeriodInstance(15, 2)
@@ -423,9 +432,58 @@ class TestShorSampleMatchesDense:
         # kernel of m = 65 arguments a = j (mod 4) below q = 256 sums to
         # 1.03, not 1
         build = period._frequency_cdf
-        monkeypatch.setattr(period, "_frequency_cdf", lambda q, r, m: build(q, r, m + 1))
+        monkeypatch.setattr(period, "_frequency_cdf",
+                            lambda q, r, m, sines: build(q, r, m + 1, sines))
         with pytest.raises(ValueError, match="state is not normalized"):
             shor_sample(PeriodInstance(15, 2), np.random.default_rng(0))
+
+
+def materialised_kernel(q, r, m):
+    """The q readout probabilities p[k] of the Dirichlet kernel, each from
+    its own angles in float64, with no period, symmetry or table."""
+    x = np.arange(q) * r % q
+    p = np.full(q, m / q)
+    nonzero = x != 0
+    p[nonzero] = (np.sin(np.pi * (m * x[nonzero] % q) / q) ** 2
+                  / (q * m * np.sin(np.pi * x[nonzero] / q) ** 2))
+    return p
+
+
+@st.composite
+def kernel_cases(draw):
+    """(q, r, m): q <= 2^12, 2 <= r < sqrt(q), so gcd(r, q) runs from 1 to
+    32, and the m of a residue j < r, either of its two values."""
+    q = 1 << draw(st.integers(3, 12))
+    r = draw(st.integers(2, math.isqrt(q - 1)))
+    j = draw(st.integers(0, r - 1))
+    return q, r, (q - 1 - j) // r + 1
+
+
+class TestPeriodicCdf:
+    """The frequency readout's CDF, read off one half period's sums, against
+    the cumulative sums of the q-long kernel it no longer builds."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(kernel_cases(), st.integers(0, 2**63 - 1))
+    def test_is_the_cumsum_of_the_materialised_kernel(self, case, seed):
+        q, r, m = case
+        cdf = period._frequency_cdf(q, r, m, period._frequency_sines(q, r))
+        assert len(cdf) == q and cdf[-1] == cdf[q - 1] and cdf[-q] == cdf[0]
+        for k in (q, -q - 1):
+            with pytest.raises(IndexError):
+                cdf[k]
+        values = np.array([cdf[k] for k in range(q)])
+        p = materialised_kernel(q, r, m)
+        assert np.max(np.abs(values - np.cumsum(p))) <= 1e-12
+        # every step, the mirror junction q'/2 -> q'/2 + 1 and each block
+        # boundary among them
+        assert np.all(np.diff(values) >= 0.0)
+        expected = np.cumsum(p)
+        expected /= expected[-1]
+        by_cdf, by_uniform = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(8):
+            assert period._draw(cdf, by_cdf) == expected.searchsorted(
+                by_uniform.random(), side="right")
 
 
 class TestContinuedFractions:
