@@ -11,6 +11,10 @@ Exit codes: 0 success, 1 check or budget failure, 2 usage error,
 3 resource limit.  Every command is deterministic given its arguments and
 seed; output files are written atomically (temp file + rename) and re-runs
 produce byte-identical bytes.
+
+Importing this module loads the search layers (``states``, ``paths``,
+``grover``, ``geometry``); ``factor`` and ``compare`` load ``period`` when
+they run.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from .grover import (
     phi_of_step,
     recursion_trajectory,
 )
-from .period import (
+from .states import (
     DEFAULT_BUDGET,
     DEFAULT_DPHI,
     DEFAULT_MEMORY_CAP,
@@ -50,11 +54,9 @@ from .period import (
     FORMAT_VERSION,
     GROVER_ADIABATIC,
     SHOR,
-    PeriodInstance,
-    compare_methods,
-    factor,
+    ResourceLimitError,
+    require_amplitudes,
 )
-from .states import ResourceLimitError, require_amplitudes
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -286,6 +288,8 @@ def cmd_geodesic_check(args: argparse.Namespace) -> int:
 
 def cmd_factor(args: argparse.Namespace) -> int:
     """Factor N with the chosen period finder; print the pair and counters."""
+    from .period import factor
+
     n, method = args.modulus, args.method
     result = factor(n, method, np.random.default_rng(args.seed), budget=args.budget,
                     samples=args.samples, memory_cap=args.memory_cap)
@@ -310,6 +314,8 @@ def cmd_factor(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     """Write the side-by-side period-finding report for (N, y)."""
+    from .period import PeriodInstance, compare_methods
+
     report = compare_methods(
         PeriodInstance(args.modulus, args.base), args.seed, samples=args.samples,
         budget=args.budget, trace_dphi=args.dphi, memory_cap=args.memory_cap)

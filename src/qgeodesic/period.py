@@ -18,7 +18,10 @@ Two period finders share the same number-theoretic post-processing:
   holds the two amplitudes of the marked and unmarked arguments, and draws
   its readouts from their known pattern over the register.
 
-Both return verified minimal periods along with operation counters.
+Both return verified minimal periods along with operation counters.  The
+run defaults and method names they use are defined in ``states``, which the
+CLI reads without loading this module; only ``factor`` and ``compare`` load
+it, when they run.
 """
 
 from __future__ import annotations
@@ -38,21 +41,18 @@ from .grover import (
     recursion_trajectory,
 )
 from .states import (
+    DEFAULT_BUDGET,
+    DEFAULT_DPHI,
     DEFAULT_MEMORY_CAP,
+    DEFAULT_SAMPLES,
+    FORMAT_VERSION,
+    GROVER_ADIABATIC,
+    SHOR,
     StateVector,
     measure_register,
     require_amplitudes,
     require_normalized,
 )
-
-FORMAT_VERSION = 1  # of every JSON document and the trace CSV
-# Run defaults of the library calls and the CLI options alike:
-DEFAULT_BUDGET = 16  # bases for factor, attempts or rounds per period search
-DEFAULT_SAMPLES = 3  # readouts of the amplified register per round
-DEFAULT_DPHI = 0.01  # step of the resampled amplification path
-
-SHOR = "shor"
-GROVER_ADIABATIC = "grover-adiabatic"
 
 
 def order_bruteforce(y: int, n: int) -> int:

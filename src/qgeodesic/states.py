@@ -4,6 +4,10 @@ States are plain complex128 numpy arrays wrapped in :class:`StateVector`,
 which tracks whether the amplitudes describe a single register or a pair of
 registers (stored flat in C order, index = a * dim_b + b).  All operations
 are pure: they take a state and return a new one.
+
+This module also holds the run constants that the library calls and the CLI
+share, so that a command which never finds a period need not load
+:mod:`qgeodesic.period` to parse its options or write its output.
 """
 
 from __future__ import annotations
@@ -16,7 +20,16 @@ import numpy as np
 
 MarkedSpec = Union[Iterable[int], np.ndarray]
 
+FORMAT_VERSION = 1  # of every JSON document and the trace CSV
+# Run defaults of the library calls and the CLI options alike:
 DEFAULT_MEMORY_CAP = 1 << 26  # complex amplitudes
+DEFAULT_BUDGET = 16  # bases for factor, attempts or rounds per period search
+DEFAULT_SAMPLES = 3  # readouts of the amplified register per round
+DEFAULT_DPHI = 0.01  # step of the resampled amplification path
+
+# The two period-finding methods, by their CLI and report names:
+SHOR = "shor"
+GROVER_ADIABATIC = "grover-adiabatic"
 
 
 class ResourceLimitError(Exception):

@@ -14,7 +14,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qgeodesic import GeodesicState, cli, geometry
+# Every layer the tracer wraps is loaded here, before any test takes its
+# snapshot of the bindings: the package loads its submodules on first use,
+# and one loaded inside a traced block would show up only in the snapshot
+# taken after it.
+from qgeodesic import GeodesicState, cli, geometry, grover, paths, period, states  # noqa: F401
 
 LAYERS = Path(__file__).resolve().parents[1] / "bench" / "layers.py"
 
