@@ -67,11 +67,11 @@ print("=== the comparison report (same thing the CLI writes) ===")
 report = compare_methods(PeriodInstance(15, 2), seed=7)
 document = report.to_dict()
 fisher = np.array(document["fisher_trace"]["fisher"])
-print(f"fisher trace along the amplification path: "
+print(f"fisher trace over the {fisher.size} states of the amplification run: "
       f"min {fisher.min():.6f}, max {fisher.max():.6f} (constant at 4)")
 print(json.dumps(document["methods"], indent=2, sort_keys=True))
 print()
-# compare_methods and the CLI share their defaults (DEFAULT_BUDGET,
-# DEFAULT_SAMPLES, DEFAULT_DPHI in qgeodesic.states), so this command
-# writes `document` itself, as indented JSON with sorted keys.
+# compare_methods and the CLI share their defaults (DEFAULT_BUDGET and
+# DEFAULT_SAMPLES in qgeodesic.states), so this command writes `document`
+# itself, as indented JSON with sorted keys.
 print("CLI equivalent:  qgeodesic compare 15 2 --seed 7 --out report.json")

@@ -35,20 +35,11 @@ from .geometry import (
     _rk4_propagate,
     _rk4_schedule,
     class_step_angles,
-    cumulative_action,
-    fisher_estimate,
+    geodesic_columns,
 )
-from .grover import (
-    GroverInstance,
-    _recursion_coefficients,
-    amplification_path,
-    class_path,
-    phi_of_step,
-    recursion_trajectory,
-)
+from .grover import GroverInstance, class_path, phi_of_step, recursion_trajectory
 from .states import (
     DEFAULT_BUDGET,
-    DEFAULT_DPHI,
     DEFAULT_MEMORY_CAP,
     DEFAULT_SAMPLES,
     FORMAT_VERSION,
@@ -194,20 +185,29 @@ def _trace_json(rows) -> str:
     return f'{{\n  "format_version": {FORMAT_VERSION},\n  "rows": {rows_text}\n}}\n'
 
 
-def _geodesic_columns(inst: GroverInstance, amps: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The Fisher, residual and action columns of a run of ``inst`` from its
-    rows ``amps`` of (k_j, l_j), with one row more at each end: step -1,
-    which is step 0 mirrored in the unmarked axis, and one recursion step
-    past the last."""
-    same, to_k, to_l = _recursion_coefficients(inst.n_items, inst.n_marked)
-    (k0, l0), (k, l) = amps[0], amps[-1]
-    run = np.vstack(([-k0, l0], amps, [same * k + to_k * l, to_l * k + same * l]))
-    turns = class_step_angles(run, inst.class_sizes)  # turns[j]: step j - 1 to j
-    # phi advances 2 theta a step, so Fisher is 4 where each turn is 2 theta;
-    # the Grover step solves x_{j+1} + x_{j-1} = 2 cos(2 theta) x_j.
-    return ((turns[:-1] + turns[1:]) ** 2 / (4.0 * inst.theta**2),
-            np.max(np.abs(run[2:] + run[:-2] - 2.0 * same * run[1:-1]), axis=1),
-            np.concatenate(([0.0], np.cumsum(turns[1:-1]))))
+def _check(error_name: str, error: float, tolerance: float, **values) -> dict:
+    """One entry of a report's ``checks``: its values, its error under
+    ``error_name``, the tolerance and whether the error is within it."""
+    return {**values, error_name: error, "tolerance": tolerance,
+            "passed": bool(error <= tolerance)}
+
+
+def _run_checks(inst: GroverInstance, amps: np.ndarray) -> dict:
+    """The two checks on the rows ``amps`` of (k_j, l_j), j = 0..s, of a run
+    of ``inst``: Fisher 4 at every step, within 64 eps / theta, and the s
+    step angles adding up to the Fubini-Study distance from the first state
+    to the last, within 64 eps (s + 1).  The distance is an atan2, exact at
+    s = 0."""
+    fisher, _, action = geodesic_columns(inst, amps)
+    act = float(action[-1])
+    dist = float(class_step_angles(amps[[0, -1]], inst.class_sizes)[0])
+    eps = float(np.finfo(float).eps)
+    return {
+        "action_vs_distance": _check("abs_error", abs(act - dist), 64.0 * eps * len(amps),
+                                     action=act, fubini_study_distance=dist),
+        "fisher_constancy": _check("max_abs_deviation", float(np.max(np.abs(fisher - 4.0))),
+                                   64.0 * eps / inst.theta),
+    }
 
 
 def cmd_grover_trace(args: argparse.Namespace) -> int:
@@ -221,7 +221,7 @@ def cmd_grover_trace(args: argparse.Namespace) -> int:
     require_amplitudes((steps + 1) * _TRACE_ROW_AMPLITUDES[args.format],
                        args.memory_cap, "trace rows")
     columns = (phi_of_step(inst, np.arange(steps + 1)), *(inst.class_sizes * amps**2).T,
-               *_geodesic_columns(inst, amps))
+               *geodesic_columns(inst, amps))
     rows = zip(range(steps + 1), *(column.tolist() for column in columns))
 
     _emit((_trace_csv if args.format == "csv" else _trace_json)(rows), args.out)
@@ -230,15 +230,14 @@ def cmd_grover_trace(args: argparse.Namespace) -> int:
 
 def cmd_geodesic_check(args: argparse.Namespace) -> int:
     """Integrate the oscillator reduction on the two class coordinates and
-    compare it against the analytic path and the recursion; write a JSON
-    report."""
-    n_items, dphi = args.n_items, args.dphi
+    compare it against the analytic path and the recursion, and check the
+    recursion's own Fisher and action; write a JSON report."""
+    n_items = args.n_items
     require_amplitudes(n_items, args.memory_cap, "statevector")
     inst = GroverInstance(n_items, [0])
     theta = inst.theta
     last_step = max(0, int(np.floor((np.pi / (2 * theta) - 1) / 2 + 1e-12)))
-    fine = amplification_path(inst, dphi, args.memory_cap)
-    sim = recursion_trajectory(inst, last_step, args.memory_cap) ** 2
+    amps = recursion_trajectory(inst, last_step, args.memory_cap)
 
     # Target j <= last_step is recursion step j; a last target pi/2 follows
     # when the final step falls short of it.
@@ -253,31 +252,17 @@ def cmd_geodesic_check(args: argparse.Namespace) -> int:
     x, v, n, h = _rk4_schedule(start, 4.0, targets, GEODESIC_DT)
     probs = _rk4_propagate(x, v, 4.0, GEODESIC_DT, n, h)[0]**2 / sizes
     dev_analytic = float(np.max(np.abs(probs - analytic)))
-    dev_sim = float(np.max(np.abs(probs[:len(sim)] - sim)))
-
-    fisher = fisher_estimate(fine)
-    # The path runs from theta to exactly pi/2: its whole action.
-    act = float(cumulative_action(fine.phis, fisher)[-1])
-    dist = float(np.arccos(uniform[0]))  # Fubini-Study distance to the marked class
-
-    def check(error_name, error, tolerance, **values):
-        return {**values, error_name: error, "tolerance": tolerance,
-                "passed": bool(error <= tolerance)}
+    dev_sim = float(np.max(np.abs(probs[:len(amps)] - amps**2)))
 
     checks = {
-        "integrator_vs_simulation": check("max_abs_error", dev_sim, 1e-6),
-        "integrator_vs_analytic": check("max_abs_error", dev_analytic, 1e-6),
-        "action_vs_distance": check("abs_error", abs(act - dist), 5.0 * dphi * dphi,
-                                    action=act, fubini_study_distance=dist),
-        "fisher_constancy": check("max_abs_deviation",
-                                  float(np.max(np.abs(fisher - 4.0))),
-                                  max(1e-3, 10.0 * dphi * dphi)),
+        "integrator_vs_simulation": _check("max_abs_error", dev_sim, 1e-6),
+        "integrator_vs_analytic": _check("max_abs_error", dev_analytic, 1e-6),
+        **_run_checks(inst, amps),
     }
     passed = all(c["passed"] for c in checks.values())
     report = {
         "format_version": FORMAT_VERSION,
         "n_items": n_items,
-        "dphi": dphi,
         "dt": GEODESIC_DT,
         "checks": checks,
         "passed": passed,
@@ -318,7 +303,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
     report = compare_methods(
         PeriodInstance(args.modulus, args.base), args.seed, samples=args.samples,
-        budget=args.budget, trace_dphi=args.dphi, memory_cap=args.memory_cap)
+        budget=args.budget, memory_cap=args.memory_cap)
     _emit(_json_text(report.to_dict()), args.out)
     ok = all(rep.succeeded for rep in report.methods.values())
     return EXIT_OK if ok else EXIT_CHECK_FAILED
@@ -333,8 +318,6 @@ _OPTIONS = {
     "out": dict(default=None, metavar="PATH", help="output file (stdout when omitted)"),
     "seed": dict(type=int, required=True, help="64-bit RNG seed (required)"),
     "format": dict(choices=("csv", "json"), default="csv"),
-    "dphi": dict(type=float, default=DEFAULT_DPHI,
-                 help="sampling step for analytic resampling, in (0, 0.1]"),
     "memory-cap": dict(type=int, default=DEFAULT_MEMORY_CAP,
                        help="complex-amplitude budget"),
     "budget": dict(type=int, default=DEFAULT_BUDGET,
@@ -346,7 +329,6 @@ _OPTIONS = {
 # Option checks, run in this order before any command; a command without
 # the option skips its check.
 _CHECKS = (
-    ("dphi", lambda v: 0.0 < v <= 0.1, "dphi must lie in (0, 0.1], got {}"),
     ("memory_cap", lambda v: v >= 1, "memory cap must be positive, got {}"),
     ("budget", lambda v: v >= 1, "budget must be >= 1, got {}"),
     ("samples", lambda v: v >= 2, "samples must be >= 2, got {}"),
@@ -381,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_geo = sub.add_parser("geodesic-check",
                            help="oscillator integration vs path and simulation")
     p_geo.add_argument("n_items", type=int)
-    options(p_geo, "out", "dphi", "memory-cap")
+    options(p_geo, "out", "memory-cap")
     p_geo.set_defaults(run="cmd_geodesic_check")
 
     p_factor = sub.add_parser("factor", help="factor an odd composite")
@@ -393,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp = sub.add_parser("compare", help="projection vs amplification report")
     p_cmp.add_argument("modulus", type=int)
     p_cmp.add_argument("base", type=int)
-    options(p_cmp, "out", "seed", "dphi", "memory-cap", "budget", "samples")
+    options(p_cmp, "out", "seed", "memory-cap", "budget", "samples")
     p_cmp.set_defaults(run="cmd_compare")
 
     parser.subcommands = sub.choices  # name -> subcommand parser, for main

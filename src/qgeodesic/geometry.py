@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .grover import GroverInstance, SearchSizes, _recursion_coefficients
 from .paths import ProbabilityPath
 from .states import StateVector
 
@@ -253,6 +254,25 @@ def class_step_angles(amps: np.ndarray, sizes) -> np.ndarray:
     x = amps * np.sqrt(sizes)
     cross = x[:-1, 0] * x[1:, 1] - x[:-1, 1] * x[1:, 0]
     return np.arctan2(np.abs(cross), np.sum(x[:-1] * x[1:], axis=1))
+
+
+def geodesic_columns(search: GroverInstance | SearchSizes,
+                     amps: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The Fisher, residual and action columns of a run of ``search`` from
+    its rows ``amps`` of (k_j, l_j), with one row more at each end: step -1,
+    which is step 0 mirrored in the unmarked axis, and one recursion step
+    past the last.  The class sizes are (M, N - M) of the search's
+    ``n_marked`` and ``n_items``."""
+    n, m = search.n_items, search.n_marked
+    same, to_k, to_l = _recursion_coefficients(n, m)
+    (k0, l0), (k, l) = amps[0], amps[-1]
+    run = np.vstack(([-k0, l0], amps, [same * k + to_k * l, to_l * k + same * l]))
+    turns = class_step_angles(run, (m, n - m))  # turns[j]: step j - 1 to j
+    # phi advances 2 theta a step, so Fisher is 4 where each turn is 2 theta;
+    # the Grover step solves x_{j+1} + x_{j-1} = 2 cos(2 theta) x_j.
+    return ((turns[:-1] + turns[1:]) ** 2 / (4.0 * search.theta**2),
+            np.max(np.abs(run[2:] + run[:-2] - 2.0 * same * run[1:-1]), axis=1),
+            np.concatenate(([0.0], np.cumsum(turns[1:-1]))))
 
 
 def integrate_geodesic(

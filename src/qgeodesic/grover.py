@@ -84,8 +84,8 @@ class SearchSizes(NamedTuple):
     """A search known by its sizes alone, N items of which M are marked.
 
     The class-level functions (``recursion_trajectory``,
-    ``optimal_iterations``, ``phi_of_step``, ``marked_mass_after`` and
-    ``amplification_path``) read only ``n_items``, ``n_marked`` and
+    ``optimal_iterations``, ``phi_of_step`` and ``marked_mass_after``, and
+    ``geometry.geodesic_columns``) read only ``n_items``, ``n_marked`` and
     ``theta`` of a search, so they take this in place of a
     :class:`GroverInstance` where the marked set is known by its count.
     """
@@ -164,18 +164,6 @@ def class_path(phis: np.ndarray) -> ProbabilityPath:
     phis = np.asarray(phis, dtype=np.float64)
     amps = np.stack([np.sin(phis), np.cos(phis)], axis=1)
     return ProbabilityPath(phis, amps**2, amps)
-
-
-def amplification_path(
-    inst: GroverInstance | SearchSizes, dphi: float, memory_cap: int = DEFAULT_MEMORY_CAP
-) -> ProbabilityPath:
-    """The class path from the uniform state at phi = theta to the solution
-    at pi/2 on a uniform grid at step <= dphi, at least 5 samples; its rows
-    * 2 cells are charged against ``memory_cap`` before the grid is built."""
-    cells = np.ceil((np.pi / 2 - inst.theta) / dphi)
-    rows = max(5, int(cells) + 1) if np.isfinite(cells) else np.inf
-    require_amplitudes(rows * 2, memory_cap, "resampled path")
-    return class_path(np.linspace(inst.theta, np.pi / 2, rows))
 
 
 def phi_of_step(inst: GroverInstance | SearchSizes, step: int | np.ndarray) -> float | np.ndarray:

@@ -32,17 +32,16 @@ import math
 from dataclasses import dataclass, field
 import numpy as np
 
-from .geometry import fisher_estimate
+from .geometry import geodesic_columns
 from .grover import (
     GroverInstance,
     SearchSizes,
-    amplification_path,
     optimal_iterations,
+    phi_of_step,
     recursion_trajectory,
 )
 from .states import (
     DEFAULT_BUDGET,
-    DEFAULT_DPHI,
     DEFAULT_MEMORY_CAP,
     DEFAULT_SAMPLES,
     FORMAT_VERSION,
@@ -681,7 +680,7 @@ def factor(
 @dataclass(frozen=True)
 class ComparisonReport:
     """Both period finders on one instance, plus the Fisher trace of the
-    amplification path demonstrating its constancy."""
+    amplification route's run demonstrating its constancy."""
 
     seed: int
     modulus: int
@@ -717,7 +716,6 @@ def compare_methods(
     seed: int,
     samples: int = DEFAULT_SAMPLES,
     budget: int = DEFAULT_BUDGET,
-    trace_dphi: float = DEFAULT_DPHI,
     memory_cap: int = DEFAULT_MEMORY_CAP,
 ) -> ComparisonReport:
     """Run both period finders on ``inst``, each within ``budget`` attempts
@@ -726,19 +724,23 @@ def compare_methods(
 
     Every Shor measurement is a projective state reduction; the
     amplification route only measures when sampling the amplified state.
+    The Fisher trace is read off the states that route visits, steps 0..s
+    of its search with s its iteration count, at phi = (2j + 1) theta.
     """
     shor_rng, grover_rng = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(2))
     shor_res = shor_period(inst, shor_rng, budget=budget, memory_cap=memory_cap)
     grover_res = grover_period(inst, grover_rng, samples=samples, budget=budget,
                                memory_cap=memory_cap)
-    trace = amplification_path(inst.search_sizes, trace_dphi, memory_cap)
+    search = inst.search_sizes
+    steps = optimal_iterations(search)
+    fisher = geodesic_columns(search, recursion_trajectory(search, steps, memory_cap))[0]
     return ComparisonReport(
         seed=seed,
         modulus=inst.modulus,
         base=inst.base,
         register_size=inst.register_size,
         methods={SHOR: shor_res, GROVER_ADIABATIC: grover_res},
-        fisher_phis=trace.phis.tolist(),
-        fisher_values=fisher_estimate(trace).tolist(),
+        fisher_phis=phi_of_step(search, np.arange(steps + 1)).tolist(),
+        fisher_values=fisher.tolist(),
     )
 

@@ -20,12 +20,11 @@ import numpy as np
 
 MarkedSpec = Union[Iterable[int], np.ndarray]
 
-FORMAT_VERSION = 1  # of every JSON document and the trace CSV
+FORMAT_VERSION = 2  # of every JSON document and the trace CSV
 # Run defaults of the library calls and the CLI options alike:
 DEFAULT_MEMORY_CAP = 1 << 26  # complex amplitudes
 DEFAULT_BUDGET = 16  # bases for factor, attempts or rounds per period search
 DEFAULT_SAMPLES = 3  # readouts of the amplified register per round
-DEFAULT_DPHI = 0.01  # step of the resampled amplification path
 
 # The two period-finding methods, by their CLI and report names:
 SHOR = "shor"

@@ -19,7 +19,7 @@ nothing.
 
 The list holds the golden commands; ``factor`` N = 3..50 with both methods
 at seeds 0-3; ``compare`` over every valid base of 13 moduli up to 143 at
-seeds 0-1; ``geodesic-check`` at 14 sizes and 3 ``--dphi``; 60 seeded random
+seeds 0-1; ``geodesic-check`` at 14 sizes; 60 seeded random
 ``grover-trace`` runs, half csv and half json; and the q = 2^20, 2^22 and
 2^24 instances ``compare 1023 1022``, ``compare 2047 2`` (r = 11, odd, so
 the readout kernel's period is all of q), ``compare 4087 3``, ``factor
@@ -52,10 +52,9 @@ def commands(test_golden) -> list[list[str]]:
     extended += [["compare", str(n), str(y), "--seed", str(seed)]
                  for n in COMPARE_MODULI for y in range(2, n) if math.gcd(y, n) == 1
                  for seed in range(2)]
-    extended += [["geodesic-check", str(n), *dphi]
+    extended += [["geodesic-check", str(n)]
                  for n in (1, 2, 3, 4, 5, 7, 16, 100, 1024, 8192, 65536, 10**6,
-                           2**24, 2**26)
-                 for dphi in ((), ("--dphi", "0.1"), ("--dphi", "0.003"))]
+                           2**24, 2**26)]
     rng = random.Random(16)
     for index in range(60):
         n = rng.choice((2, 4, rng.randrange(3, 1000), rng.randrange(1000, 2**26)))
@@ -63,9 +62,6 @@ def commands(test_golden) -> list[list[str]]:
         if len(marked) == n:
             marked = marked[:1]
         steps = rng.randrange(0, 400)
-        # the draw of a --dphi value, which grover-trace no longer takes, is
-        # kept so that every later list stays the same
-        rng.choice(("0.01", "0.1", "0.003"))
         extended.append(["grover-trace", str(n), "--marked", ",".join(map(str, marked)),
                          "--steps", str(steps), "--format", ("csv", "json")[index % 2]])
     extended += [[*instance, "--seed", str(seed)]

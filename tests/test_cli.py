@@ -25,7 +25,6 @@ from qgeodesic import (
     GeodesicState,
     GroverInstance,
     PeriodInstance,
-    action,
     cli,
     compare_methods,
     default_register_size,
@@ -35,7 +34,8 @@ from qgeodesic import (
 )
 from qgeodesic.cli import (
     FORMAT_VERSION, TRACE_COLUMNS, _emit, _json_text, _parse_marked, _trace_json, main)
-from qgeodesic.grover import amplification_path
+from qgeodesic.geometry import class_step_angles, geodesic_columns
+from qgeodesic.grover import recursion_trajectory
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
@@ -57,7 +57,7 @@ def load_schema(name):
 
 def parse_trace_csv(text):
     lines = text.strip().splitlines()
-    assert lines[0] == "# format_version=1"
+    assert lines[0] == f"# format_version={FORMAT_VERSION}"
     header = lines[1].split(",")
     rows = []
     for line in lines[2:]:
@@ -76,9 +76,15 @@ def dense_step_angles(inst, steps):
                       dot)
 
 
+def last_step(inst):
+    """The last recursion step that geodesic-check runs: the largest j with
+    phi_j = (2j + 1) theta at or below pi/2."""
+    return max(0, int(np.floor((np.pi / (2 * inst.theta) - 1) / 2 + 1e-12)))
+
+
 def derivative_passes(monkeypatch, capsys, args):
-    """Runs of geometry._derivatives, the finite-difference pass over the
-    resampled path, in one successful command."""
+    """Runs of geometry._derivatives, the finite-difference pass over a
+    sampled path, in one successful command."""
     calls = []
     derivatives = geometry._derivatives
 
@@ -123,7 +129,7 @@ class TestGroverTrace:
              "--format", "json"])
         assert code == 0
         data = json.loads(out.read_text())
-        assert data["format_version"] == 1
+        assert data["format_version"] == FORMAT_VERSION
         assert len(data["rows"]) == 3
         assert data["rows"][0]["step"] == 0
 
@@ -159,7 +165,7 @@ class TestGroverTrace:
             raise AssertionError("grover-trace reached a resampling pass")
 
         rows = []
-        step_angles = cli.class_step_angles
+        step_angles = geometry.class_step_angles
 
         def counting(amps, sizes):
             rows.append(len(amps))
@@ -167,8 +173,7 @@ class TestGroverTrace:
 
         monkeypatch.setattr(np, "interp", refused)
         monkeypatch.setattr(cli, "class_path", refused)
-        monkeypatch.setattr(cli, "amplification_path", refused)
-        monkeypatch.setattr(cli, "class_step_angles", counting)
+        monkeypatch.setattr(geometry, "class_step_angles", counting)
         assert derivative_passes(monkeypatch, capsys, [
             "grover-trace", "1024", "--marked", "1,2,3", "--steps", "40",
             "--format", fmt]) == 0
@@ -193,8 +198,7 @@ class TestGroverTrace:
         assert run(["grover-trace", "4", "--marked", "0", "--steps", "-2"]) == 2
 
     def test_bad_dphi_exits_2(self, capsys):
-        # grover-trace takes no --dphi: even a step geodesic-check accepts
-        # is a usage error
+        # no command takes --dphi: any step is a usage error
         with pytest.raises(SystemExit) as exc:
             run(["grover-trace", "4", "--marked", "0", "--steps", "1", "--dphi", "0.01"])
         assert exc.value.code == 2
@@ -217,12 +221,14 @@ class TestGeodesicCheck:
         assert report["checks"]["integrator_vs_analytic"]["max_abs_error"] < 1e-6
 
     def test_n1024_action_value(self, tmp_path):
+        # 24 steps of 2 theta, theta = arcsin(1/32): the run's length and
+        # the distance from its first state to its last
         code, out = run_to_file(tmp_path, "g.json", ["geodesic-check", "1024"])
         assert code == 0
-        report = json.loads(out.read_text())
-        expected = np.pi / 2 - np.arcsin(1.0 / 32.0)
-        assert report["checks"]["action_vs_distance"]["action"] \
-            == pytest.approx(expected, abs=1e-4)
+        check = json.loads(out.read_text())["checks"]["action_vs_distance"]
+        expected = 48 * np.arcsin(1.0 / 32.0)
+        assert check["action"] == pytest.approx(expected, abs=1e-12)
+        assert check["fubini_study_distance"] == pytest.approx(expected, abs=1e-12)
 
     def test_schema(self, tmp_path):
         jsonschema = pytest.importorskip("jsonschema")
@@ -234,21 +240,39 @@ class TestGeodesicCheck:
         assert run(["geodesic-check", "1"]) == 2
 
     def test_one_derivative_pass(self, monkeypatch, capsys):
-        # the action is integrated from the Fisher estimate already made
-        assert derivative_passes(monkeypatch, capsys, ["geodesic-check", "8192"]) == 1
+        # N = 8192: Fisher and action come from one pass of step angles over
+        # the run's 71 rows, one more at each end, and the distance from the
+        # angle between its first and last row; no finite-difference pass
+        rows = []
+        step_angles = geometry.class_step_angles
+
+        def counting(amps, sizes):
+            rows.append(len(amps))
+            return step_angles(amps, sizes)
+
+        for module in (geometry, cli):
+            monkeypatch.setattr(module, "class_step_angles", counting)
+        assert derivative_passes(monkeypatch, capsys, ["geodesic-check", "8192"]) == 0
+        assert rows == [73, 2]
 
     @pytest.mark.parametrize("dphi", [None, "0.1", "0.001"])
     @pytest.mark.parametrize("n_items", [2, 3, 4, 1024, 2**26])
     def test_action_is_the_path_action(self, capsys, n_items, dphi):
-        # the path runs from theta to exactly pi/2, so its whole cumulative
-        # action is action(path, theta, pi/2), bit for bit
-        options = [] if dphi is None else ["--dphi", dphi]
-        run(["geodesic-check", str(n_items), *options])
+        # the action is the length of the run's own path, its step angles
+        # summed in order, bit for bit; no --dphi resamples another path
+        if dphi is not None:
+            with pytest.raises(SystemExit) as exc:
+                run(["geodesic-check", str(n_items), "--dphi", dphi])
+            assert exc.value.code == 2
+            assert capsys.readouterr().err.endswith(
+                f"error: unrecognized arguments: --dphi {dphi}\n")
+            return
+        assert run(["geodesic-check", str(n_items)]) == 0
         report = json.loads(capsys.readouterr().out)
         inst = GroverInstance(n_items, [0])
-        fine = amplification_path(inst, 0.01 if dphi is None else float(dphi))
-        assert report["checks"]["action_vs_distance"]["action"] \
-            == action(fine, inst.theta, np.pi / 2)
+        angles = class_step_angles(recursion_trajectory(inst, last_step(inst)),
+                                   inst.class_sizes)
+        assert report["checks"]["action_vs_distance"]["action"] == sum(angles.tolist(), 0.0)
 
     @pytest.mark.parametrize("n_items", [2, 3, 4, 1024, 8192, 2**26])
     def test_integrator_errors_at_scale(self, capsys, n_items):
@@ -310,6 +334,81 @@ class TestGeodesicCheck:
         assert schedule_calls == [72]
         assert propagator_calls == [(72, 72)]
         assert integrator_calls == []
+
+
+class TestRunChecks:
+    """geodesic-check's fisher_constancy and action_vs_distance read the
+    recursion it runs: each step turns the state by 2 theta, so Fisher is 4,
+    and the turns add up to the distance from the first state to the last."""
+
+    @staticmethod
+    def run_rows(n_items, marked=(0,)):
+        inst = GroverInstance(n_items, marked)
+        return inst, recursion_trajectory(inst, last_step(inst))
+
+    @staticmethod
+    def passed(checks):
+        return {name: check["passed"] for name, check in checks.items()}
+
+    def test_the_run_passes(self):
+        inst, amps = self.run_rows(1024)
+        assert self.passed(cli._run_checks(inst, amps)) == {
+            "action_vs_distance": True, "fisher_constancy": True}
+
+    def test_repeated_row_fails_fisher_constancy(self):
+        # a step that does not turn: Fisher (0 + 2 theta)^2 / (4 theta^2) = 1
+        # at both copies; the turns still add up to the distance
+        inst, amps = self.run_rows(1024)
+        planted = np.insert(amps, 10, amps[10], axis=0)
+        fisher = geodesic_columns(inst, planted)[0]
+        assert fisher[10:12] == pytest.approx([1.0, 1.0], abs=1e-12)
+        assert np.delete(fisher, [10, 11]) == pytest.approx(4.0, abs=1e-12)
+        assert self.passed(cli._run_checks(inst, planted)) == {
+            "action_vs_distance": True, "fisher_constancy": False}
+
+    def test_step_turned_backwards_fails_both(self):
+        # row 10 turned 2 theta back from row 9: the next step turns 6 theta,
+        # and the run is 4 theta longer than the distance it covers
+        inst, amps = self.run_rows(1024)
+        planted = amps.copy()
+        planted[10] = amps[8]
+        fisher, _, action = geodesic_columns(inst, planted)
+        assert fisher[9:12] == pytest.approx([4.0, 16.0, 16.0], abs=1e-9)
+        assert action[-1] - action[-2] == pytest.approx(2 * inst.theta, abs=1e-12)
+        checks = cli._run_checks(inst, planted)
+        assert self.passed(checks) == {"action_vs_distance": False, "fisher_constancy": False}
+        gap = checks["action_vs_distance"]["abs_error"]
+        assert gap == pytest.approx(4 * inst.theta, abs=1e-12)
+
+    @pytest.mark.parametrize("marked", [(0,), (0, 5), (1, 2, 3)])
+    def test_step_angles_match_the_dense_states(self, marked):
+        # every N <= 64 the marked set fits in: the dense statevector run
+        # turns by the same angles as the class rows, and its Fisher is the
+        # column's
+        for n_items in range(max(marked) + 2, 65):
+            inst, amps = self.run_rows(n_items, marked)
+            steps = len(amps) - 1
+            dense = dense_step_angles(inst, steps)  # steps 0 .. steps + 1
+            fisher, _, action = geodesic_columns(inst, amps)
+            rows = class_step_angles(amps, inst.class_sizes)
+            assert np.max(np.abs(rows - dense[:-1]), initial=0.0) <= 1e-12, n_items
+            assert np.max(np.abs(np.diff(action) - dense[:-1]), initial=0.0) <= 1e-12
+            interior = (dense[:-1] + dense[1:]) ** 2 / (4 * inst.theta**2)
+            assert np.max(np.abs(fisher[1:] - interior), initial=0.0) <= 1e-12
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 2**26))
+    @example(2)
+    @example(3)
+    @example(4)
+    @example(2**26)
+    def test_both_checks_pass_up_to_the_default_cap(self, n_items):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["geodesic-check", str(n_items)]) == 0
+        checks = json.loads(out.getvalue())["checks"]
+        assert all(checks[name]["passed"] for name in ("fisher_constancy",
+                                                       "action_vs_distance"))
 
 
 class TestFactorCommand:
@@ -402,8 +501,6 @@ class TestCompareCommand:
         parameters = inspect.signature(function).parameters
         for name in ("budget", "samples", "memory_cap"):
             assert parameters[name].default == cli._OPTIONS[name.replace("_", "-")]["default"]
-        if "trace_dphi" in parameters:
-            assert parameters["trace_dphi"].default == cli._OPTIONS["dphi"]["default"]
 
     def test_memory_cap_exits_3(self):
         assert run(["compare", "15", "2", "--seed", "1",
@@ -457,9 +554,9 @@ class TestParserReuse:
     exit code and --out bytes of a fresh ``python -m qgeodesic`` process."""
 
     SEQUENCES = {  # (argv, exit code) per call
-        "compare-then-default-dphi": [
-            (["compare", "15", "2", "--seed", "1", "--dphi", "0.1"], 0),
-            (["geodesic-check", "64"], 0),
+        "compare-then-default-cap": [  # a carried-over cap would refuse N = 1024
+            (["compare", "15", "2", "--seed", "1", "--memory-cap", "300"], 0),
+            (["geodesic-check", "1024"], 0),
         ],
         "usage-error-then-factor": [
             (["factor", "15", "--method", "shor"], 2),
@@ -525,10 +622,10 @@ TOKENS = st.one_of(OPTIONS, VALUES, JUNK, st.sampled_from(COMMANDS))
 CHUNKS = {
     "grover-trace": [["16"], ["--marked", "0,5"], ["--steps", "3"], ["--format", "json"],
                      ["--memory-cap", "99"], ["--out", "t.csv"]],
-    "geodesic-check": [["4"], ["--dphi", "0.1"], ["--memory-cap", "9"], ["--out", "g"]],
+    "geodesic-check": [["4"], ["--memory-cap", "9"], ["--out", "g"]],
     "factor": [["15"], ["--method", "shor"], ["--seed", "1"], ["--budget", "2"],
                ["--samples", "3"], ["--memory-cap", "9"], ["--out", "f"]],
-    "compare": [["15", "2"], ["--seed", "-1"], ["--dphi", "0.01"], ["--budget", "4"],
+    "compare": [["15", "2"], ["--seed", "-1"], ["--budget", "4"],
                 ["--samples", "2"], ["--memory-cap", "9"], ["--out", "c"]],
 }
 
@@ -582,7 +679,7 @@ class TestParseBySubcommand:
         assert parse_outcome(cli._parse_args, argv) == reference
 
     def test_argv_defaults_to_the_process_arguments(self, monkeypatch):
-        argv = ["geodesic-check", "4", "--dphi", "0.1"]
+        argv = ["geodesic-check", "4", "--memory-cap", "9"]
         monkeypatch.setattr(sys, "argv", ["qgeodesic", *argv])
         assert cli._parse_args(None) == cli.build_parser().parse_args(argv)
 
@@ -602,7 +699,7 @@ class TestStdoutFallback:
     def test_trace_to_stdout(self, capsys):
         assert run(["grover-trace", "4", "--marked", "0", "--steps", "1"]) == 0
         out = capsys.readouterr().out
-        assert out.startswith("# format_version=1")
+        assert out.startswith(f"# format_version={FORMAT_VERSION}")
 
     def test_failing_stream_without_fd_exits_2(self, monkeypatch, capsys):
         class Full(io.StringIO):
@@ -636,9 +733,10 @@ class TestDroppedFlags:
 
 class TestOptionChecks:
     """Bad option values exit 2 with one message, checked in the order
-    dphi, memory cap, budget, samples whatever the order on the command
-    line; each command checks only the options it takes, and refuses the
-    others as usage errors before any check (message None)."""
+    memory cap, budget, samples whatever the order on the command line;
+    each command checks only the options it takes, and refuses the others,
+    here the last option given, as usage errors before any check (message
+    None)."""
 
     BASE = {
         "grover-trace": ["grover-trace", "4", "--marked", "0", "--steps", "1"],
@@ -648,17 +746,15 @@ class TestOptionChecks:
     }
 
     CASES = [
-        *[(cmd, ["--dphi", value], f"dphi must lie in (0, 0.1], got {shown}")
-          for cmd in ("geodesic-check", "compare")
-          for value, shown in (("0", "0.0"), ("0.5", "0.5"), ("nan", "nan"))],
-        *[("grover-trace", ["--dphi", value], None) for value in ("0", "0.5", "nan")],
+        *[(cmd, ["--dphi", value], None) for cmd in ("grover-trace", "geodesic-check", "compare")
+          for value in ("0", "0.5", "nan")],
         *[(cmd, ["--memory-cap", "0"], "memory cap must be positive, got 0")
           for cmd in BASE],
         *[(cmd, ["--budget", "0"], "budget must be >= 1, got 0")
           for cmd in ("factor", "compare")],
         *[(cmd, ["--samples", "1"], "samples must be >= 2, got 1")
           for cmd in ("factor", "compare")],
-        ("compare", ["--budget", "0", "--dphi", "0"], "dphi must lie in (0, 0.1], got 0.0"),
+        ("compare", ["--budget", "0", "--dphi", "0"], None),
         *[(cmd, ["--samples", "1", "--budget", "0"], "budget must be >= 1, got 0")
           for cmd in ("factor", "compare")],
         *[(cmd, ["--samples", "0", "--memory-cap", "-3"], "memory cap must be positive, got -3")
@@ -674,7 +770,7 @@ class TestOptionChecks:
             assert exc.value.code == 2
             out, err = capsys.readouterr()
             assert out == ""
-            assert err.endswith(f"error: unrecognized arguments: {' '.join(options)}\n")
+            assert err.endswith(f"error: unrecognized arguments: {' '.join(options[-2:])}\n")
             return
         assert run(self.BASE[command] + options) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
@@ -704,10 +800,10 @@ class TestAllocationCaps:
     @pytest.mark.parametrize("args,message", [
         (["compare", "15", "2", "--seed", "1", "--memory-cap", "64"],
          "register needs 256 amplitudes, cap is 64"),
-        (["compare", "15", "2", "--seed", "1", "--dphi", "0.0001", "--memory-cap", "4000"],
-         "resampled path needs 20946 amplitudes, cap is 4000"),
-        (["geodesic-check", "64", "--memory-cap", "100"],
-         "resampled path needs 292 amplitudes, cap is 100"),
+        (["compare", "21", "2", "--seed", "1", "--memory-cap", "511"],
+         "register needs 512 amplitudes, cap is 511"),
+        (["geodesic-check", "64", "--memory-cap", "63"],
+         "statevector needs 64 amplitudes, cap is 63"),
         (["grover-trace", "64", "--marked", "0", "--steps", "10", "--memory-cap", "450"],
          "trace rows needs 451 amplitudes, cap is 450"),
         (["grover-trace", "64", "--marked", "0", "--steps", "300", "--memory-cap", "500"],
@@ -716,18 +812,6 @@ class TestAllocationCaps:
     def test_exits_3_before_allocating(self, args, message, capsys):
         assert run(args) == 3
         assert capsys.readouterr().err == f"resource error: {message}\n"
-
-    @pytest.mark.parametrize("args", [
-        ["geodesic-check", "4"],
-        ["compare", "15", "2", "--seed", "1"],
-    ])
-    def test_subnormal_dphi_exits_3(self, args, capsys):
-        # span / dphi overflows to inf: the row count must not reach int()
-        assert run(args + ["--dphi", "5e-324"]) == 3
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == (
-            "resource error: resampled path needs inf amplitudes, cap is 67108864\n")
 
     @staticmethod
     def peak_in_registers(args, capsys):
@@ -768,7 +852,7 @@ class TestAllocationCaps:
         ["compare", "15", "2", "--seed", "1", "--memory-cap", "4000"],
     ])
     def test_class_paths_fit_where_item_paths_did_not(self, args, capsys):
-        # trajectories and resampled paths are charged 2 cells per row, not N or q
+        # trajectories are charged 2 cells per row, not N or q
         assert run(args) == 0
         assert capsys.readouterr().err == ""
 

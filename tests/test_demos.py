@@ -23,8 +23,8 @@ KEY_LINES = {
     "03_period_finding_two_ways.py": [
         "collapsed support: [2, 6, 10, 14, 18] ... stride 4, 64 points, amplitude 0.1250",
         "15 = 3 x  5  via grover-adiabatic (2 base attempts, 12 measurements)",
-        "fisher trace along the amplification path: min 3.999867, max 4.000265 "
-        "(constant at 4)",
+        "fisher trace over the 2 states of the amplification run: min 4.000000, "
+        "max 4.000000 (constant at 4)",
     ],
 }
 

@@ -29,7 +29,7 @@ from qgeodesic.geometry import (
     geodesic_residual_profile,
     integrate_geodesic,
 )
-from qgeodesic.grover import amplification_path, class_path, recursion_trajectory
+from qgeodesic.grover import class_path, recursion_trajectory
 
 
 def single_marked(n):
@@ -449,14 +449,6 @@ class TestClassReduction:
                    - action(dense, phis[1], phis[-2])) < 1e-12
         _, profile = geodesic_residual_profile(dense)
         assert np.max(np.abs(item_residual_max(reduced, inst) - profile)) < 1e-10
-
-    def test_amplification_path_is_the_class_path(self):
-        inst = GroverInstance(64, frozenset({1, 9}))
-        path = amplification_path(inst, 0.01)
-        assert path.dim == 2
-        assert path.phis[0] == inst.theta and path.phis[-1] == np.pi / 2
-        assert np.array_equal(path.amps, np.stack(
-            [np.sin(path.phis), np.cos(path.phis)], axis=1))
 
     @settings(max_examples=30, deadline=None)
     @given(search_runs(max_items=64))

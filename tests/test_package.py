@@ -14,7 +14,7 @@ from qgeodesic import cli, period, states
 
 SRC = str(Path(qgeodesic.__file__).resolve().parents[1])
 
-RUN_CONSTANTS = ("DEFAULT_BUDGET", "DEFAULT_DPHI", "DEFAULT_MEMORY_CAP", "DEFAULT_SAMPLES",
+RUN_CONSTANTS = ("DEFAULT_BUDGET", "DEFAULT_MEMORY_CAP", "DEFAULT_SAMPLES",
                  "FORMAT_VERSION", "GROVER_ADIABATIC", "SHOR")
 
 

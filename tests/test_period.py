@@ -46,6 +46,7 @@ from qgeodesic import StateVector, period
 from qgeodesic.grover import recursion_trajectory, search_angle
 from qgeodesic.period import (
     DEFAULT_BUDGET,
+    DEFAULT_SAMPLES,
     PeriodResult,
     _amplified_readouts,
     _integer_root,
@@ -1175,6 +1176,25 @@ class TestCompareMethods:
         assert grover.measurements == 3 * grover.attempts
         fisher = np.array(report.fisher_values)
         assert np.max(np.abs(fisher - 4.0)) < 1e-3
+
+    @settings(max_examples=60, deadline=None)
+    @given(valid_instances(255), st.integers(0, 2**32))
+    def test_trace_and_counters_follow_the_search(self, case, seed):
+        # q <= 2^16.  The trace holds the s + 1 states of the amplification
+        # route's search, s = floor(pi / (4 theta)) with sin^2 theta = M/q
+        # and M = (q - 2) // r + 1, at phi_j = (2j + 1) theta, and each of
+        # its readouts costs s oracle calls.
+        inst = PeriodInstance(*case)
+        q, r = inst.register_size, order_bruteforce(inst.base, inst.modulus)
+        theta = search_angle(q, (q - 2) // r + 1)
+        steps = math.floor(math.pi / (4 * theta))
+        report = compare_methods(inst, seed)
+        assert report.fisher_phis == [(2 * j + 1) * theta for j in range(steps + 1)]
+        assert len(report.fisher_values) == steps + 1
+        assert max(abs(f - 4.0) for f in report.fisher_values) <= 64 * np.finfo(float).eps / theta
+        grover = report.methods[GROVER_ADIABATIC]
+        assert grover.oracle_calls == grover.attempts * DEFAULT_SAMPLES * steps
+        assert grover.measurements == grover.attempts * DEFAULT_SAMPLES
 
     def test_schema_validation(self):
         jsonschema = pytest.importorskip("jsonschema")
