@@ -253,7 +253,10 @@ def class_step_angles(amps: np.ndarray, sizes) -> np.ndarray:
     keeps a turn past pi/2 unfolded."""
     x = amps * np.sqrt(sizes)
     cross = x[:-1, 0] * x[1:, 1] - x[:-1, 1] * x[1:, 0]
-    return np.arctan2(np.abs(cross), np.sum(x[:-1] * x[1:], axis=1))
+    # The dot products summed column by column: numpy's axis=1 sum over a
+    # pair is about ten times slower, for the same bits.
+    dot = x[:-1] * x[1:]
+    return np.arctan2(np.abs(cross), dot[:, 0] + dot[:, 1])
 
 
 def geodesic_columns(search: GroverInstance | SearchSizes,
@@ -271,7 +274,7 @@ def geodesic_columns(search: GroverInstance | SearchSizes,
     # phi advances 2 theta a step, so Fisher is 4 where each turn is 2 theta;
     # the Grover step solves x_{j+1} + x_{j-1} = 2 cos(2 theta) x_j.
     return ((turns[:-1] + turns[1:]) ** 2 / (4.0 * search.theta**2),
-            np.max(np.abs(run[2:] + run[:-2] - 2.0 * same * run[1:-1]), axis=1),
+            np.maximum(*np.abs(run[2:] + run[:-2] - 2.0 * same * run[1:-1]).T),
             np.concatenate(([0.0], np.cumsum(turns[1:-1]))))
 
 
